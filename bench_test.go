@@ -5,6 +5,7 @@
 package bmatch
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,12 +34,14 @@ func BenchmarkSequential(b *testing.B) {
 		n := 2000
 		r := rng.New(1)
 		g := graph.Gnm(n, n*d/2, r.Split())
-		p := frac.BMatchingProblem(g, graph.UniformBudgets(n, 2))
+		w := frac.NewView[float64](frac.BMatchingProblem(g, graph.UniformBudgets(n, 2)))
 		T := frac.TightRounds(g.M())
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("d=%d/T=%d/workers=%d", d, T, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p.SequentialWorkers(T, nil, rng.New(int64(i)), workers)
+					if _, err := w.Sequential(context.Background(), T, nil, rng.New(int64(i)), nil, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -111,9 +114,9 @@ func BenchmarkKernelScaling(b *testing.B) {
 		n := g.N
 		p := frac.BMatchingProblem(g, graph.UniformBudgets(n, 2))
 		w64 := frac.NewView[float64](p)
-		x := p.InitialValues(g.AvgDeg())
-		y := make([]float64, n)
 		q := make([]float64, n)
+		x := w64.InitialValues(make([]float64, g.M()), q, g.AvgDeg(), 0)
+		y := make([]float64, n)
 		vl := make([]bool, n)
 		w32 := frac.NewView[float32](p)
 		x32 := make([]float32, len(x))
@@ -124,24 +127,24 @@ func BenchmarkKernelScaling(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("kernel=round/mode=f64/m=%d/workers=%d", m, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p.VLooseIntoWorkers(vl, y, x, 0.2, workers)
-					p.ELooseWorkers(x, 0.2, workers)
+					w64.VLoose(vl, y, x, 0.2, workers)
+					w64.ELoose(x, 0.2, workers)
 				}
 			})
 			b.Run(fmt.Sprintf("kernel=round/mode=f32/m=%d/workers=%d", m, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					w32.VLooseIntoWorkers(vl, y32, x32, 0.2, workers)
-					w32.ELooseWorkers(x32, 0.2, workers)
+					w32.VLoose(vl, y32, x32, 0.2, workers)
+					w32.ELoose(x32, 0.2, workers)
 				}
 			})
 			b.Run(fmt.Sprintf("kernel=init/mode=f64/m=%d/workers=%d", m, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					w64.InitialValuesIntoWorkers(x, q, g.AvgDeg(), workers)
+					w64.InitialValues(x, q, g.AvgDeg(), workers)
 				}
 			})
 			b.Run(fmt.Sprintf("kernel=init/mode=f32/m=%d/workers=%d", m, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					w32.InitialValuesIntoWorkers(x32, q, g.AvgDeg(), workers)
+					w32.InitialValues(x32, q, g.AvgDeg(), workers)
 				}
 			})
 		}
@@ -161,7 +164,9 @@ func BenchmarkFullMPC(b *testing.B) {
 			params.Workers = workers
 			b.Run(fmt.Sprintf("coreDeg=%d/m=%d/workers=%d", coreDeg, g.M(), workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p.FullMPC(params, rng.New(int64(i)))
+					if _, err := p.FullMPCCtx(context.Background(), params, rng.New(int64(i))); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -177,7 +182,7 @@ func BenchmarkConstApprox(b *testing.B) {
 		bud := graph.RandomBudgets(scale.n, 1, 4, r.Split())
 		b.Run(fmt.Sprintf("n=%d/m=%d", scale.n, scale.m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ConstApprox(g, bud, frac.PracticalParams(), rng.New(int64(i))); err != nil {
+				if _, err := core.ConstApproxCtx(context.Background(), g, bud, frac.PracticalParams(), rng.New(int64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,7 +199,7 @@ func BenchmarkOnePlusEpsUnweighted(b *testing.B) {
 		bud := graph.RandomBudgets(200, 1, 3, r.Split())
 		b.Run(fmt.Sprintf("eps=%.2f", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := augment.OnePlusEps(g, bud, nil, augment.DefaultParams(eps), rng.New(int64(i))); err != nil {
+				if _, err := augment.OnePlusEpsCtx(context.Background(), g, bud, nil, augment.DefaultParams(eps), rng.New(int64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,7 +216,7 @@ func BenchmarkOnePlusEpsWeighted(b *testing.B) {
 		bud := graph.RandomBudgets(120, 1, 3, r.Split())
 		b.Run(fmt.Sprintf("eps=%.2f", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := weighted.OnePlusEpsWeighted(g, bud, nil, weighted.DefaultParams(eps), rng.New(int64(i))); err != nil {
+				if _, err := weighted.OnePlusEpsWeightedCtx(context.Background(), g, bud, nil, weighted.DefaultParams(eps), rng.New(int64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -227,7 +232,9 @@ func BenchmarkDegreeDrop(b *testing.B) {
 	p := frac.BMatchingProblem(g, graph.RandomBudgets(g.N, 1, 3, r.Split()))
 	b.Run(fmt.Sprintf("m=%d", g.M()), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.OneRoundMPC(frac.PracticalParams(), nil, rng.New(int64(i)))
+			if _, err := p.OneRoundMPCCtx(context.Background(), frac.PracticalParams(), nil, rng.New(int64(i))); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -248,7 +255,10 @@ func BenchmarkMachineLoad(b *testing.B) {
 			b.Run(fmt.Sprintf("m=%d/workers=%d", m, workers), func(b *testing.B) {
 				maxLoad := 0
 				for i := 0; i < b.N; i++ {
-					res := p.OneRoundMPC(params, nil, rng.New(int64(i)))
+					res, err := p.OneRoundMPCCtx(context.Background(), params, nil, rng.New(int64(i)))
+					if err != nil {
+						b.Fatal(err)
+					}
 					if res.MaxMachineEdges > maxLoad {
 						maxLoad = res.MaxMachineEdges
 					}
@@ -271,7 +281,7 @@ func BenchmarkStreaming(b *testing.B) {
 	})
 	b.Run("multipass-eps0.5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, err := stream.OnePlusEps(stream.NewSliceStream(g), g.N, bud,
+			_, err := stream.OnePlusEpsCtx(context.Background(), stream.NewSliceStream(g), g.N, bud,
 				stream.Params{Eps: 0.5, MaxSweeps: 4, RetriesPerK: 2, MaxRetries: 4}, rng.New(int64(i)))
 			if err != nil {
 				b.Fatal(err)
@@ -281,7 +291,7 @@ func BenchmarkStreaming(b *testing.B) {
 	gw := graph.GnmWeighted(1000, 30000, 1, 10, r.Split())
 	b.Run("multipass-weighted-eps0.5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, err := stream.OnePlusEpsWeighted(stream.NewSliceStream(gw), gw.N, bud,
+			_, err := stream.OnePlusEpsWeightedCtx(context.Background(), stream.NewSliceStream(gw), gw.N, bud,
 				stream.Params{Eps: 0.5, MaxSweeps: 4, RetriesPerK: 2, MaxRetries: 4}, rng.New(int64(i)))
 			if err != nil {
 				b.Fatal(err)
@@ -310,7 +320,7 @@ func BenchmarkConflictResolution(b *testing.B) {
 	}
 	b.Run("mpc-distributed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			weighted.ResolveWithinMPC(cands, m, 16)
+			weighted.ResolveWithinMPC(cands, m, 16, 0)
 		}
 	})
 	b.Run("gather-baseline", func(b *testing.B) {
@@ -334,7 +344,9 @@ func BenchmarkInitAblation(b *testing.B) {
 			params := frac.PracticalParams()
 			params.InitNoClamp = noClamp
 			for i := 0; i < b.N; i++ {
-				p.OneRoundMPC(params, nil, rng.New(int64(i)))
+				if _, err := p.OneRoundMPCCtx(context.Background(), params, nil, rng.New(int64(i))); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -347,12 +359,16 @@ func BenchmarkThresholdAblation(b *testing.B) {
 	p := frac.BMatchingProblem(g, graph.UniformBudgets(g.N, 2))
 	b.Run("random-thresholds", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.OneRoundMPC(frac.PracticalParams(), nil, rng.New(int64(i)))
+			if _, err := p.OneRoundMPCCtx(context.Background(), frac.PracticalParams(), nil, rng.New(int64(i))); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("fixed-thresholds", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.OneRoundMPC(frac.PracticalParams(), frac.FixedThresholds(p, 0.5), rng.New(int64(i)))
+			if _, err := p.OneRoundMPCCtx(context.Background(), frac.PracticalParams(), frac.FixedThresholds(p, 0.5), rng.New(int64(i))); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -406,7 +422,9 @@ func BenchmarkGreedyBaselines(b *testing.B) {
 	})
 	b.Run("greedy-weighted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			baseline.GreedyWeighted(g, bud)
+			if _, err := baseline.GreedyWeightedCtx(context.Background(), g, bud); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -24,17 +24,14 @@
 //
 // Solve, Session.Solve, and the bmatchd HTTP daemon all dispatch through
 // the same engine, so the same (graph, Request) returns bit-identical
-// results on every path. The older per-algorithm entry points (Approx,
-// Max, MaxWeight, ApproxFractional, StreamMax, ... and their Ctx and
-// Session variants) remain as thin wrappers over Solve.
+// results on every path. SolveStream is the semi-streaming entry point
+// (Section 4.6) over an EdgeStream. These three calls are the package's
+// only solve entry points; Request.Algo selects the theorem.
 //
 // All algorithms are deterministic given Request.Seed.
 package bmatch
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -64,36 +61,6 @@ func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.New(n, edges) 
 // UniformBudgets returns b ≡ k.
 func UniformBudgets(n, k int) Budgets { return graph.UniformBudgets(n, k) }
 
-// Options configures the legacy per-algorithm entry points. New code
-// should use Request, which additionally exposes Workers, NoCache, and
-// Progress; Options maps onto a Request with those left at their
-// defaults.
-type Options struct {
-	// Seed makes every run reproducible.
-	Seed int64
-	// Eps is the approximation slack for the (1+ε) algorithms.
-	Eps float64
-	// PaperConstants selects the paper's exact scalar constants (e.g.
-	// T = ⌊log₂N/1000⌋) instead of the practical defaults. See DESIGN.md.
-	PaperConstants bool
-}
-
-// Validate checks the options. Eps must be zero (keep the default of 0.25)
-// or lie in (0, 1); negative, NaN, Inf, and ≥ 1 values are rejected so they
-// cannot reach the drivers. The contract lives in engine.ValidateEps,
-// below the transport, shared with the bmatchd request boundary.
-func (o Options) Validate() error {
-	if err := engine.ValidateEps(o.Eps); err != nil {
-		return fmt.Errorf("bmatch: %w", err)
-	}
-	return nil
-}
-
-// request maps the legacy options onto the unified Request.
-func (o Options) request(algo Algo) Request {
-	return Request{Algo: algo, Eps: o.Eps, Seed: o.Seed, PaperConstants: o.PaperConstants}
-}
-
 // ApproxStats carries the MPC measurements of an AlgoApprox run.
 type ApproxStats struct {
 	// CompressionSteps is the number of FullMPC while-loop iterations —
@@ -115,102 +82,13 @@ type ApproxStats struct {
 // the engine, and the HTTP surface share one fractional contract.
 type FractionalResult = engine.FracSolution
 
-// Approx computes a Θ(1)-approximate maximum-cardinality b-matching using
-// the paper's O(log log d̄)-round MPC algorithm (Theorem 3.1).
-//
-// Deprecated: use Solve with AlgoApprox; the Report carries the matching
-// and the same stats.
-func Approx(g *Graph, b Budgets, opts Options) (*BMatching, *ApproxStats, error) {
-	return ApproxCtx(context.Background(), g, b, opts)
-}
-
-// ApproxCtx is Approx with cooperative cancellation: ctx cancellation and
-// deadlines are honored at every MPC compression step, simulator superstep,
-// and rounding wave, aborting the solve with ctx's error. A completed call
-// is bit-identical to Approx with the same options; a cancelled call
-// returns nothing partial, so re-running it is always safe.
-//
-// Deprecated: use Solve with AlgoApprox.
-func ApproxCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*BMatching, *ApproxStats, error) {
-	rep, err := Solve(ctx, g, b, opts.request(AlgoApprox))
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep.M, rep.Stats, nil
-}
-
-// Max computes a (1+ε)-approximate maximum-cardinality b-matching
-// (Theorem 4.1).
-//
-// Deprecated: use Solve with AlgoMax.
-func Max(g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	return MaxCtx(context.Background(), g, b, opts)
-}
-
-// MaxCtx is Max with cooperative cancellation (see ApproxCtx; augmentation
-// sweeps are additional cancellation points).
-//
-// Deprecated: use Solve with AlgoMax.
-func MaxCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	rep, err := Solve(ctx, g, b, opts.request(AlgoMax))
-	if err != nil {
-		return nil, err
-	}
-	return rep.M, nil
-}
-
-// MaxWeight computes a (1+ε)-approximate maximum-weight b-matching
-// (Theorem 5.1).
-//
-// Deprecated: use Solve with AlgoMaxWeight.
-func MaxWeight(g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	return MaxWeightCtx(context.Background(), g, b, opts)
-}
-
-// MaxWeightCtx is MaxWeight with cooperative cancellation, checked at every
-// driver round (see ApproxCtx for the contract).
-//
-// Deprecated: use Solve with AlgoMaxWeight.
-func MaxWeightCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	rep, err := Solve(ctx, g, b, opts.request(AlgoMaxWeight))
-	if err != nil {
-		return nil, err
-	}
-	return rep.M, nil
-}
-
-// ApproxFractional solves the fractional b-matching LP with the
-// O(log log d̄)-round MPC algorithm (Algorithms 1–3) and returns the
-// solution with its dual certificates. This is the paper's core engine,
-// exposed for callers that want the LP value or the vertex-cover dual
-// rather than an integral matching.
-//
-// Deprecated: use Solve with AlgoFrac; the Report's Frac field is the same
-// FractionalResult.
-func ApproxFractional(g *Graph, b Budgets, opts Options) (*FractionalResult, error) {
-	return ApproxFractionalCtx(context.Background(), g, b, opts)
-}
-
-// ApproxFractionalCtx is ApproxFractional with cooperative cancellation
-// threaded through the FullMPC compression loop and the simulator.
-//
-// Deprecated: use Solve with AlgoFrac.
-func ApproxFractionalCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*FractionalResult, error) {
-	rep, err := Solve(ctx, g, b, opts.request(AlgoFrac))
-	if err != nil {
-		return nil, err
-	}
-	return rep.Frac, nil
-}
-
 // Session is a long-lived solver session for callers that solve many
 // instances (or re-solve the same instance with different seeds or ε). It
 // reuses encode/decode buffers across calls and keeps an LRU cache of
 // decoded instances (keyed by graph content hash) and solve results, so
 // repeat solves skip adjacency building and — for identical requests — the
 // solve itself. cmd/bmatchd serves every request through sessions like
-// this one. Session.Solve is the unified entry point; the per-algorithm
-// methods below wrap it.
+// this one.
 //
 // A Session is not safe for concurrent use; create one per goroutine (they
 // may share nothing, or use the daemon for shared caching across clients).
@@ -236,65 +114,6 @@ func rebuildMatching(g *Graph, b Budgets, edges []int32) (*BMatching, error) {
 	return m, nil
 }
 
-// Approx is the session-aware Approx: identical output, but repeat calls
-// with the same graph reuse the cached instance and repeat calls with the
-// same options reuse the cached result.
-//
-// Deprecated: use Session.Solve with AlgoApprox.
-func (s *Session) Approx(g *Graph, b Budgets, opts Options) (*BMatching, *ApproxStats, error) {
-	return s.ApproxCtx(context.Background(), g, b, opts)
-}
-
-// ApproxCtx is the session-aware ApproxCtx: cancellable like the
-// package-level variant, cached like Session.Approx. A cancelled solve
-// stores nothing, so the session's result cache only ever holds complete
-// solves.
-//
-// Deprecated: use Session.Solve with AlgoApprox.
-func (s *Session) ApproxCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*BMatching, *ApproxStats, error) {
-	rep, err := s.Solve(ctx, g, b, opts.request(AlgoApprox))
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep.M, rep.Stats, nil
-}
-
-// Max is the session-aware Max (Theorem 4.1).
-//
-// Deprecated: use Session.Solve with AlgoMax.
-func (s *Session) Max(g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	return s.MaxCtx(context.Background(), g, b, opts)
-}
-
-// MaxCtx is the session-aware, cancellable Max.
-//
-// Deprecated: use Session.Solve with AlgoMax.
-func (s *Session) MaxCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	rep, err := s.Solve(ctx, g, b, opts.request(AlgoMax))
-	if err != nil {
-		return nil, err
-	}
-	return rep.M, nil
-}
-
-// MaxWeight is the session-aware MaxWeight (Theorem 5.1).
-//
-// Deprecated: use Session.Solve with AlgoMaxWeight.
-func (s *Session) MaxWeight(g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	return s.MaxWeightCtx(context.Background(), g, b, opts)
-}
-
-// MaxWeightCtx is the session-aware, cancellable MaxWeight.
-//
-// Deprecated: use Session.Solve with AlgoMaxWeight.
-func (s *Session) MaxWeightCtx(ctx context.Context, g *Graph, b Budgets, opts Options) (*BMatching, error) {
-	rep, err := s.Solve(ctx, g, b, opts.request(AlgoMaxWeight))
-	if err != nil {
-		return nil, err
-	}
-	return rep.M, nil
-}
-
 // StreamResult reports a semi-streaming computation: the matched edge ids,
 // the number of passes, and the peak retained memory in words.
 type StreamResult = stream.Result
@@ -304,41 +123,3 @@ type EdgeStream = stream.Stream
 
 // NewSliceStream adapts an in-memory graph to the streaming interface.
 func NewSliceStream(g *Graph) EdgeStream { return stream.NewSliceStream(g) }
-
-// StreamMax computes a (1+ε)-approximate maximum-cardinality b-matching in
-// the semi-streaming model, using Õ(Σb_v) memory and O(1/ε) passes per
-// sweep (Theorem 4.1, streaming part).
-//
-// Deprecated: use SolveStream with AlgoMax.
-func StreamMax(s EdgeStream, n int, b Budgets, opts Options) (*StreamResult, error) {
-	return StreamMaxCtx(context.Background(), s, n, b, opts)
-}
-
-// StreamMaxCtx is StreamMax with cooperative cancellation, checked at
-// every stream-pass boundary; a cancelled run returns ctx's error and no
-// partial result.
-func StreamMaxCtx(ctx context.Context, s EdgeStream, n int, b Budgets, opts Options) (*StreamResult, error) {
-	rep, err := SolveStream(ctx, s, n, b, opts.request(AlgoMax))
-	if err != nil {
-		return nil, err
-	}
-	return rep.Stream, nil
-}
-
-// StreamMaxWeight is the weighted semi-streaming variant (Theorem 5.1,
-// streaming part).
-//
-// Deprecated: use SolveStream with AlgoMaxWeight.
-func StreamMaxWeight(s EdgeStream, n int, b Budgets, opts Options) (*StreamResult, error) {
-	return StreamMaxWeightCtx(context.Background(), s, n, b, opts)
-}
-
-// StreamMaxWeightCtx is StreamMaxWeight with cooperative cancellation at
-// stream-pass boundaries (see StreamMaxCtx).
-func StreamMaxWeightCtx(ctx context.Context, s EdgeStream, n int, b Budgets, opts Options) (*StreamResult, error) {
-	rep, err := SolveStream(ctx, s, n, b, opts.request(AlgoMaxWeight))
-	if err != nil {
-		return nil, err
-	}
-	return rep.Stream, nil
-}

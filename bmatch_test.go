@@ -1,6 +1,7 @@
 package bmatch
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,10 +14,11 @@ func TestApproxEndToEnd(t *testing.T) {
 	r := rng.New(1)
 	g := graph.Gnm(200, 3000, r.Split())
 	b := graph.RandomBudgets(200, 1, 4, r.Split())
-	m, stats, err := Approx(g, b, Options{Seed: 7})
+	rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoApprox, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, stats := rep.M, rep.Stats
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,15 +38,16 @@ func TestApproxEndToEnd(t *testing.T) {
 func TestApproxDeterministicInSeed(t *testing.T) {
 	g := graph.Gnm(100, 1000, rng.New(3))
 	b := graph.UniformBudgets(100, 2)
-	m1, _, err := Approx(g, b, Options{Seed: 5})
+	req := Request{Algo: AlgoApprox, Seed: 5}
+	r1, err := Solve(context.Background(), g, b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := Approx(g, b, Options{Seed: 5})
+	r2, err := Solve(context.Background(), g, b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, c := m1.Edges(), m2.Edges()
+	a, c := r1.M.Edges(), r2.M.Edges()
 	if len(a) != len(c) {
 		t.Fatalf("sizes differ: %d vs %d", len(a), len(c))
 	}
@@ -58,14 +61,14 @@ func TestApproxDeterministicInSeed(t *testing.T) {
 func TestApproxPaperConstants(t *testing.T) {
 	g := graph.Gnm(100, 1500, rng.New(4))
 	b := graph.UniformBudgets(100, 2)
-	m, stats, err := Approx(g, b, Options{Seed: 1, PaperConstants: true})
+	rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoApprox, Seed: 1, PaperConstants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(); err != nil {
+	if err := rep.M.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CompressionSteps < 1 {
+	if rep.Stats.CompressionSteps < 1 {
 		t.Fatal("paper-mode run recorded no iterations")
 	}
 }
@@ -78,10 +81,11 @@ func TestMaxEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Max(g, b, Options{Seed: 2, Eps: 0.25})
+	rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoMax, Seed: 2, Eps: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := rep.M
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +102,11 @@ func TestMaxWeightEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := MaxWeight(g, b, Options{Seed: 3, Eps: 0.25})
+	rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoMaxWeight, Seed: 3, Eps: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := rep.M
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +119,11 @@ func TestStreamEndToEnd(t *testing.T) {
 	r := rng.New(10)
 	g := graph.Gnm(40, 250, r.Split())
 	b := graph.UniformBudgets(40, 2)
-	res, err := StreamMax(NewSliceStream(g), g.N, b, Options{Seed: 4, Eps: 0.5})
+	rep, err := SolveStream(context.Background(), NewSliceStream(g), g.N, b, Request{Algo: AlgoMax, Seed: 4, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Stream
 	if res.Size == 0 || res.Passes < 1 {
 		t.Fatalf("stream result degenerate: %+v", res)
 	}
@@ -130,10 +136,11 @@ func TestStreamWeightedEndToEnd(t *testing.T) {
 	r := rng.New(11)
 	g := graph.GnmWeighted(40, 250, 1, 5, r.Split())
 	b := graph.UniformBudgets(40, 2)
-	res, err := StreamMaxWeight(NewSliceStream(g), g.N, b, Options{Seed: 4, Eps: 0.5})
+	rep, err := SolveStream(context.Background(), NewSliceStream(g), g.N, b, Request{Algo: AlgoMaxWeight, Seed: 4, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Stream
 	if res.Weight <= 0 {
 		t.Fatalf("stream weighted degenerate: %+v", res)
 	}
@@ -147,7 +154,7 @@ func TestNewGraphValidates(t *testing.T) {
 
 func TestApproxRejectsBadBudgets(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := Approx(g, Budgets{1}, Options{}); err == nil {
+	if _, err := Solve(context.Background(), g, Budgets{1}, Request{Algo: AlgoApprox}); err == nil {
 		t.Fatal("short budget vector accepted")
 	}
 }
@@ -156,10 +163,11 @@ func TestApproxFractional(t *testing.T) {
 	r := rng.New(12)
 	g := graph.Gnm(150, 2500, r.Split())
 	b := graph.RandomBudgets(150, 1, 3, r.Split())
-	res, err := ApproxFractional(g, b, Options{Seed: 5})
+	rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoFrac, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Frac
 	if res.Value <= 0 || res.DualBound < res.Value-1e-9 {
 		t.Fatalf("certificates inverted: value=%v dual=%v", res.Value, res.DualBound)
 	}
@@ -196,24 +204,24 @@ func TestApproxFractional(t *testing.T) {
 
 func TestApproxFractionalRejectsBadBudgets(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := ApproxFractional(g, Budgets{1}, Options{}); err == nil {
+	if _, err := Solve(context.Background(), g, Budgets{1}, Request{Algo: AlgoFrac}); err == nil {
 		t.Fatal("short budget vector accepted")
 	}
 }
 
-// TestOptionsValidate pins the Options contract: zero Eps keeps the
-// default, (0,1) is accepted, and negative/NaN/Inf/≥1 are rejected by every
-// entry point before any work happens.
-func TestOptionsValidate(t *testing.T) {
+// TestRequestValidate pins the ε contract: zero Eps keeps the default,
+// (0,1) is accepted, and negative/NaN/Inf/≥1 are rejected before any work
+// happens.
+func TestRequestValidate(t *testing.T) {
 	good := []float64{0, 0.01, 0.25, 0.999}
 	for _, eps := range good {
-		if err := (Options{Eps: eps}).Validate(); err != nil {
+		if err := (Request{Eps: eps}).Validate(); err != nil {
 			t.Errorf("Eps=%v rejected: %v", eps, err)
 		}
 	}
 	bad := []float64{-0.1, -1, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, eps := range bad {
-		if err := (Options{Eps: eps}).Validate(); err == nil {
+		if err := (Request{Eps: eps}).Validate(); err == nil {
 			t.Errorf("Eps=%v accepted", eps)
 		}
 	}
@@ -222,46 +230,45 @@ func TestOptionsValidate(t *testing.T) {
 func TestEntryPointsRejectBadEps(t *testing.T) {
 	g := graph.Gnm(20, 40, rng.New(1))
 	b := graph.UniformBudgets(20, 2)
-	bad := Options{Eps: math.NaN()}
-	if _, _, err := Approx(g, b, bad); err == nil {
-		t.Error("Approx accepted NaN Eps")
+	ctx := context.Background()
+	for _, algo := range []Algo{AlgoApprox, AlgoMax, AlgoMaxWeight, AlgoFrac} {
+		if _, err := Solve(ctx, g, b, Request{Algo: algo, Eps: math.NaN()}); err == nil {
+			t.Errorf("Solve %s accepted NaN Eps", algo)
+		}
 	}
-	if _, err := Max(g, b, bad); err == nil {
-		t.Error("Max accepted NaN Eps")
+	if _, err := SolveStream(ctx, NewSliceStream(g), g.N, b, Request{Algo: AlgoMax, Eps: -2}); err == nil {
+		t.Error("SolveStream max accepted negative Eps")
 	}
-	if _, err := MaxWeight(g, b, bad); err == nil {
-		t.Error("MaxWeight accepted NaN Eps")
+	if _, err := SolveStream(ctx, NewSliceStream(g), g.N, b, Request{Algo: AlgoMaxWeight, Eps: 3}); err == nil {
+		t.Error("SolveStream maxw accepted Eps >= 1")
 	}
-	if _, err := ApproxFractional(g, b, bad); err == nil {
-		t.Error("ApproxFractional accepted NaN Eps")
-	}
-	if _, err := StreamMax(NewSliceStream(g), g.N, b, Options{Eps: -2}); err == nil {
-		t.Error("StreamMax accepted negative Eps")
-	}
-	if _, err := StreamMaxWeight(NewSliceStream(g), g.N, b, Options{Eps: 3}); err == nil {
-		t.Error("StreamMaxWeight accepted Eps >= 1")
+	if _, err := NewSession().Solve(ctx, g, b, Request{Algo: AlgoMax, Eps: 5}); err == nil {
+		t.Error("Session.Solve accepted Eps >= 1")
 	}
 }
 
-// TestSessionMatchesOneShot pins that the session-aware entry points return
-// exactly what the one-shot facade returns, and that repeat solves (served
-// from the session's result cache) stay identical.
+// TestSessionMatchesOneShot pins that Session.Solve returns exactly what
+// the one-shot Solve returns, and that repeat solves (served from the
+// session's result cache) stay identical.
 func TestSessionMatchesOneShot(t *testing.T) {
 	r := rng.New(8)
 	g := graph.GnmWeighted(80, 600, 1, 9, r.Split())
 	b := graph.RandomBudgets(80, 1, 3, r.Split())
-	opts := Options{Seed: 11, Eps: 0.25}
+	ctx := context.Background()
+	req := Request{Algo: AlgoMaxWeight, Seed: 11, Eps: 0.25}
 
-	want, err := MaxWeight(g, b, opts)
+	wantRep, err := Solve(ctx, g, b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantRep.M
 	s := NewSession()
 	for round := 0; round < 2; round++ {
-		got, err := s.MaxWeight(g, b, opts)
+		gotRep, err := s.Solve(ctx, g, b, req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := gotRep.M
 		// The session rebuilds the matching from edge ids, so its cached
 		// weight accumulates in id order; allow the resulting last-ULP
 		// float difference while requiring the edge sets to be identical.
@@ -281,19 +288,19 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	}
 
 	// Approx through the session carries the same certificate fields.
-	m1, st1, err := Approx(g, b, opts)
+	areq := req
+	areq.Algo = AlgoApprox
+	r1, err := Solve(ctx, g, b, areq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, st2, err := s.Approx(g, b, opts)
+	r2, err := s.Solve(ctx, g, b, areq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.Size() != m2.Size() || st1.DualBound != st2.DualBound ||
+	st1, st2 := r1.Stats, r2.Stats
+	if r1.M.Size() != r2.M.Size() || st1.DualBound != st2.DualBound ||
 		st1.CompressionSteps != st2.CompressionSteps || st1.MaxMachineEdges != st2.MaxMachineEdges {
 		t.Fatalf("session Approx diverged: %+v vs %+v", st1, st2)
-	}
-	if _, err := s.Max(g, b, Options{Eps: 5}); err == nil {
-		t.Fatal("session accepted invalid Eps")
 	}
 }

@@ -13,9 +13,7 @@
 //	go run ./cmd/benchjson -budgets BENCH_BUDGETS.json -out /dev/null
 //	go run ./cmd/benchjson -short -compare BENCH_PR5.json
 //
-// Budget files come in two shapes. The legacy form is a flat
-// {"name-regex": maxAllocsPerOp} map. The structured form pins ns/op and
-// ratios too:
+// A budget file pins allocs/op, ns/op and sibling ratios:
 //
 //	{
 //	  "nsToleranceFactor": 2.5,
@@ -32,9 +30,10 @@
 // machine-independent and get no slack beyond their own maxRatio.
 //
 // -compare diffs the run against an earlier trajectory point on stderr
-// (informational only, never fails the run); -short forwards go test's
-// -short flag so size-gated benchmarks keep CI smoke runs cheap. Budget
-// entries whose benchmarks only exist in full runs carry
+// after the budgets are checked. It is informational only and never fails
+// the run: a missing or unreadable file is a warning. -short forwards go
+// test's -short flag so size-gated benchmarks keep CI smoke runs cheap.
+// Budget entries whose benchmarks only exist in full runs carry
 // "skipInShort": true, so -short enforces the smoke pins without
 // tripping the matched-no-benchmark check on the size-gated ones.
 //
@@ -98,7 +97,7 @@ func main() {
 		benchtime = flag.String("benchtime", "1x", "passed to go test -benchtime")
 		pkgs      = flag.String("pkgs", "./...", "space-separated packages to benchmark")
 		out       = flag.String("out", "", "output JSON path (default stdout)")
-		budgets   = flag.String("budgets", "", "JSON budget file (legacy allocs map or structured entries); exceeding any budget fails the run")
+		budgets   = flag.String("budgets", "", "JSON budget file; exceeding any budget fails the run")
 		label     = flag.String("label", "", "free-form label recorded in the output (e.g. PR number)")
 		timeout   = flag.Duration("timeout", 30*time.Minute, "go test timeout")
 		compare   = flag.String("compare", "", "earlier trajectory JSON to diff against on stderr (informational)")
@@ -175,10 +174,6 @@ func main() {
 		fatalf("write %s: %v", *out, err)
 	}
 
-	if *compare != "" {
-		compareAgainst(*compare, f.Results)
-	}
-
 	if *budgets != "" {
 		if violations := checkBudgets(*budgets, f.Results, *short); len(violations) > 0 {
 			for _, v := range violations {
@@ -187,6 +182,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintln(os.Stderr, "all budgets respected")
+	}
+
+	if *compare != "" {
+		compareAgainst(*compare, f.Results)
 	}
 }
 
@@ -210,32 +209,27 @@ type BudgetEntry struct {
 	SkipInShort bool `json:"skipInShort,omitempty"`
 }
 
-// BudgetFile is the structured budget format; see the package comment.
+// BudgetFile is the budget format; see the package comment.
 type BudgetFile struct {
 	NsToleranceFactor float64       `json:"nsToleranceFactor"`
 	Entries           []BudgetEntry `json:"entries"`
 }
 
-// loadBudgets reads either budget shape into the structured form.
+// loadBudgets reads a budget file.
 func loadBudgets(path string) *BudgetFile {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("budgets: %v", err)
 	}
 	var bf BudgetFile
-	if err := json.Unmarshal(data, &bf); err == nil && len(bf.Entries) > 0 {
-		if bf.NsToleranceFactor <= 0 {
-			bf.NsToleranceFactor = 1
-		}
-		return &bf
+	if err := json.Unmarshal(data, &bf); err != nil {
+		fatalf("budgets %s: %v", path, err)
 	}
-	var legacy map[string]int64
-	if err := json.Unmarshal(data, &legacy); err != nil {
-		fatalf("budgets %s: neither structured nor legacy format: %v", path, err)
+	if len(bf.Entries) == 0 {
+		fatalf("budgets %s: no entries", path)
 	}
-	bf = BudgetFile{NsToleranceFactor: 1}
-	for pat, maxAllocs := range legacy {
-		bf.Entries = append(bf.Entries, BudgetEntry{Pattern: pat, MaxAllocs: maxAllocs})
+	if bf.NsToleranceFactor <= 0 {
+		bf.NsToleranceFactor = 1
 	}
 	return &bf
 }
@@ -303,16 +297,19 @@ func checkBudgets(path string, results []Result, short bool) []string {
 
 // compareAgainst prints an informational ns/op and allocs/op diff between
 // this run and an earlier trajectory point. Machine variance makes raw ns
-// deltas advisory, so the diff never fails the run; it exists so a CI log
+// deltas advisory, so the diff never fails the run — not even when the
+// file is missing or unreadable, which only warns; it exists so a CI log
 // or a local run shows the shape of the change at a glance.
 func compareAgainst(path string, results []Result) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("compare: %v", err)
+		fmt.Fprintf(os.Stderr, "benchjson: warning: compare: %v\n", err)
+		return
 	}
 	var old File
 	if err := json.Unmarshal(data, &old); err != nil {
-		fatalf("compare %s: %v", path, err)
+		fmt.Fprintf(os.Stderr, "benchjson: warning: compare %s: %v\n", path, err)
+		return
 	}
 	oldByName := make(map[string]Result, len(old.Results))
 	for _, r := range old.Results {

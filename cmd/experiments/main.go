@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -40,7 +41,7 @@ var (
 type experiment struct {
 	id    string
 	title string
-	fn    func()
+	fn    func(ctx context.Context)
 }
 
 func main() {
@@ -72,7 +73,7 @@ func main() {
 		}
 		fmt.Printf("\n===== %s: %s =====\n", ex.id, ex.title)
 		start := time.Now()
-		ex.fn()
+		ex.fn(context.Background())
 		fmt.Printf("[%s done in %v]\n", ex.id, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
@@ -112,7 +113,7 @@ func scale(full, quick int) int {
 
 // ---------------------------------------------------------------- E1 -----
 
-func e1() {
+func e1(ctx context.Context) {
 	fmt.Println("claim: |E_loose(x,0.2)| ≤ 5m/2^T — exponential decay in T")
 	fmt.Println("workload: dense core + sparse fringe (see graph.CoreFringe: the")
 	fmt.Println("regime where looseness persists and the doubling process has work)")
@@ -123,11 +124,12 @@ func e1() {
 		r := masterRNG(int64(coreDeg))
 		g := graph.CoreFringe(nc, nc*coreDeg/2, nf, nf/2, r.Split())
 		b := graph.RandomBudgets(g.N, 1, 3, r.Split())
-		p := frac.BMatchingProblem(g, b)
+		w := frac.NewView[float64](frac.BMatchingProblem(g, b))
 		m := g.M()
 		for _, T := range []int{0, 2, 4, 6, 8, 10, 12} {
-			x := p.Sequential(T, nil, r.Split())
-			loose := len(p.ELoose(x, 0.2))
+			x, err := w.Sequential(ctx, T, nil, r.Split(), nil, 0)
+			check(err)
+			loose := len(w.ELoose(x, 0.2, 0))
 			bound := 5 * float64(m) / math.Pow(2, float64(T))
 			fmt.Printf("%6.0f %8d | %10d %12.1f %9v\n",
 				g.AvgDeg(), T, loose, bound, float64(loose) <= bound)
@@ -137,7 +139,7 @@ func e1() {
 
 // ---------------------------------------------------------------- E2 -----
 
-func e2() {
+func e2(ctx context.Context) {
 	fmt.Println("claim: FullMPC needs O(log log d̄) compression steps; the")
 	fmt.Println("uncompressed doubling baseline needs Θ(log d̄) rounds")
 	nc := scale(1200, 400)
@@ -151,8 +153,10 @@ func e2() {
 		r := masterRNG(int64(100 + coreDeg))
 		g := graph.CoreFringe(nc, nc*coreDeg/2, nf, nf/2, r.Split())
 		p := frac.BMatchingProblem(g, graph.RandomBudgets(g.N, 1, 4, r.Split()))
-		full := p.FullMPC(mpcParams(), r.Split())
-		base := baseline.Uncompressed(p, r.Split())
+		full, err := p.FullMPCCtx(ctx, mpcParams(), r.Split())
+		check(err)
+		base, err := baseline.Uncompressed(ctx, p, r.Split())
+		check(err)
 		d := g.AvgDeg()
 		ll := math.Log2(math.Log2(d + 2))
 		fmt.Printf("%6.0f | %8d %12.2f | %10d %9.1f | %7.1fx\n",
@@ -165,7 +169,7 @@ func e2() {
 
 // ---------------------------------------------------------------- E3 -----
 
-func e3() {
+func e3(ctx context.Context) {
 	fmt.Println("claim: the MPC pipeline is Θ(1)-approximate on every family")
 	fmt.Printf("%-26s | %6s %9s %8s\n", "family", "|M|", "OPT/bound", "ratio≥")
 	report := func(name string, m *matching.BMatching, bound float64) {
@@ -177,7 +181,7 @@ func e3() {
 		r := masterRNG(200)
 		g := graph.Gnm(10, 20, r.Split())
 		b := graph.RandomBudgets(10, 1, 3, r.Split())
-		res, err := core.ConstApprox(g, b, mpcParams(), r.Split())
+		res, err := core.ConstApproxCtx(ctx, g, b, mpcParams(), r.Split())
 		check(err)
 		opt, _ := exact.BruteForce(g, b)
 		report("small general (exact)", res.M, float64(opt))
@@ -188,7 +192,7 @@ func e3() {
 		nl := scale(300, 80)
 		g := graph.Bipartite(nl, nl, nl*8, r.Split())
 		b := graph.RandomBudgets(2*nl, 1, 4, r.Split())
-		res, err := core.ConstApprox(g, b, mpcParams(), r.Split())
+		res, err := core.ConstApproxCtx(ctx, g, b, mpcParams(), r.Split())
 		check(err)
 		opt, err := exact.MaxBipartite(g, b)
 		check(err)
@@ -200,7 +204,7 @@ func e3() {
 		n := scale(3000, 800)
 		g := graph.Gnm(n, n*16, r.Split())
 		b := graph.RandomBudgets(n, 1, 4, r.Split())
-		res, err := core.ConstApprox(g, b, mpcParams(), r.Split())
+		res, err := core.ConstApproxCtx(ctx, g, b, mpcParams(), r.Split())
 		check(err)
 		report("large general (dual bd)", res.M, res.DualBound)
 	}
@@ -208,7 +212,7 @@ func e3() {
 	{
 		r := masterRNG(203)
 		g, b := graph.ClientServer(scale(2000, 400), 50, 5, 3, 30, r.Split())
-		res, err := core.ConstApprox(g, b, mpcParams(), r.Split())
+		res, err := core.ConstApproxCtx(ctx, g, b, mpcParams(), r.Split())
 		check(err)
 		report("client-server (dual bd)", res.M, res.DualBound)
 	}
@@ -218,7 +222,7 @@ func e3() {
 		n := scale(1500, 400)
 		g := graph.ChungLu(n, n*6, 2.3, r.Split())
 		b := graph.RandomBudgets(n, 1, 3, r.Split())
-		res, err := core.ConstApprox(g, b, mpcParams(), r.Split())
+		res, err := core.ConstApproxCtx(ctx, g, b, mpcParams(), r.Split())
 		check(err)
 		report("power-law (dual bd)", res.M, res.DualBound)
 	}
@@ -227,7 +231,7 @@ func e3() {
 
 // ---------------------------------------------------------------- E4 -----
 
-func e4() {
+func e4(ctx context.Context) {
 	fmt.Println("claim: ratio → 1 as ε → 0 (unweighted)")
 	fmt.Printf("%-22s %6s | %8s %8s %10s %8s\n",
 		"instance", "ε", "|M|", "OPT", "ratio", "≥1/(1+ε)")
@@ -239,7 +243,7 @@ func e4() {
 	opt, err := exact.MaxBipartite(g, b)
 	check(err)
 	for _, eps := range []float64{1, 0.5, 0.25, 0.125} {
-		res, err := augment.OnePlusEps(g, b, nil, augParams(eps), r.Split())
+		res, err := augment.OnePlusEpsCtx(ctx, g, b, nil, augParams(eps), r.Split())
 		check(err)
 		ratio := float64(res.M.Size()) / float64(opt)
 		fmt.Printf("%-22s %6.3f | %8d %8d %10.4f %8v\n",
@@ -251,7 +255,7 @@ func e4() {
 	b2 := graph.RandomBudgets(11, 1, 3, r2.Split())
 	opt2, _ := exact.BruteForce(g2, b2)
 	for _, eps := range []float64{1, 0.5, 0.25} {
-		res, err := augment.OnePlusEps(g2, b2, nil, augParams(eps), r2.Split())
+		res, err := augment.OnePlusEpsCtx(ctx, g2, b2, nil, augParams(eps), r2.Split())
 		check(err)
 		ratio := float64(res.M.Size()) / float64(opt2)
 		fmt.Printf("%-22s %6.3f | %8d %8d %10.4f %8v\n",
@@ -261,7 +265,7 @@ func e4() {
 
 // ---------------------------------------------------------------- E5 -----
 
-func e5() {
+func e5(ctx context.Context) {
 	fmt.Println("claim: weight ratio → 1 as ε → 0 (weighted)")
 	fmt.Printf("%-22s %6s | %10s %10s %10s %8s\n",
 		"instance", "ε", "weight", "OPT", "ratio", "≥1/(1+ε)")
@@ -272,7 +276,7 @@ func e5() {
 	optW, err := exact.MaxWeightBipartite(g, b)
 	check(err)
 	for _, eps := range []float64{1, 0.5, 0.25} {
-		res, err := weighted.OnePlusEpsWeighted(g, b, nil, weightedParams(eps), r.Split())
+		res, err := weighted.OnePlusEpsWeightedCtx(ctx, g, b, nil, weightedParams(eps), r.Split())
 		check(err)
 		ratio := res.M.Weight() / optW
 		fmt.Printf("%-22s %6.3f | %10.1f %10.1f %10.4f %8v\n",
@@ -283,20 +287,21 @@ func e5() {
 	b2 := graph.RandomBudgets(10, 1, 2, r2.Split())
 	_, optW2 := exact.BruteForce(g2, b2)
 	for _, eps := range []float64{1, 0.5, 0.25} {
-		res, err := weighted.OnePlusEpsWeighted(g2, b2, nil, weightedParams(eps), r2.Split())
+		res, err := weighted.OnePlusEpsWeightedCtx(ctx, g2, b2, nil, weightedParams(eps), r2.Split())
 		check(err)
 		ratio := res.M.Weight() / optW2
 		fmt.Printf("%-22s %6.3f | %10.1f %10.1f %10.4f %8v\n",
 			"small general", eps, res.M.Weight(), optW2, ratio, ratio >= 1/(1+eps)-1e-9)
 	}
 	fmt.Println("also: greedy baseline for reference")
-	gm := baseline.GreedyWeighted(g, b)
+	gm, err := baseline.GreedyWeightedCtx(ctx, g, b)
+	check(err)
 	fmt.Printf("%-22s %6s | %10.1f %10.1f %10.4f\n", "bipartite greedy", "-", gm.Weight(), optW, gm.Weight()/optW)
 }
 
 // ---------------------------------------------------------------- E6 -----
 
-func e6() {
+func e6(ctx context.Context) {
 	fmt.Println("claim: average active degree drops polynomially per compression step")
 	nc := scale(1200, 400)
 	d := nc / 2
@@ -304,7 +309,8 @@ func e6() {
 	r := masterRNG(500)
 	g := graph.CoreFringe(nc, nc*d/2, nf, nf/2, r.Split())
 	p := frac.BMatchingProblem(g, graph.RandomBudgets(g.N, 1, 3, r.Split()))
-	res := p.FullMPC(mpcParams(), r.Split())
+	res, err := p.FullMPCCtx(ctx, mpcParams(), r.Split())
+	check(err)
 	fmt.Printf("%6s | %12s %14s %8s\n", "step", "active edges", "avg active deg", "mode")
 	for i, it := range res.History {
 		mode := "seq"
@@ -319,7 +325,7 @@ func e6() {
 
 // ---------------------------------------------------------------- E7 -----
 
-func e7() {
+func e7(ctx context.Context) {
 	fmt.Println("claim: every machine holds Õ(n) edges whp (Lemma 3.28)")
 	fmt.Printf("%8s %10s %6s | %14s %10s %12s\n",
 		"n", "m", "√d̄", "max mach edges", "n (bound)", "load/n")
@@ -328,7 +334,8 @@ func e7() {
 		r := masterRNG(int64(600 + n + m))
 		g := graph.Gnm(n, m, r.Split())
 		p := frac.BMatchingProblem(g, graph.UniformBudgets(n, 2))
-		res := p.OneRoundMPC(mpcParams(), nil, r.Split())
+		res, err := p.OneRoundMPCCtx(ctx, mpcParams(), nil, r.Split())
+		check(err)
 		fmt.Printf("%8d %10d %6d | %14d %10d %12.2f\n",
 			n, m, res.N, res.MaxMachineEdges, n, float64(res.MaxMachineEdges)/float64(n))
 	}
@@ -337,7 +344,7 @@ func e7() {
 
 // ---------------------------------------------------------------- E8 -----
 
-func e8() {
+func e8(ctx context.Context) {
 	fmt.Println("claim: semi-streaming uses Õ(Σb_v) words, not O(m); quality holds")
 	fmt.Printf("%10s %8s | %-12s %6s %8s %12s %10s\n",
 		"m", "Σb", "variant", "|M|", "passes", "peak words", "words/m")
@@ -351,7 +358,7 @@ func e8() {
 		fmt.Printf("%10d %8d | %-12s %6d %8d %12d %10.3f\n",
 			m, b.Sum(), "greedy 1pass", res1.Size, res1.Passes, res1.PeakWords,
 			float64(res1.PeakWords)/float64(m))
-		res2, err := stream.OnePlusEps(stream.NewSliceStream(g), g.N, b,
+		res2, err := stream.OnePlusEpsCtx(ctx, stream.NewSliceStream(g), g.N, b,
 			stream.Params{Eps: 0.5, MaxSweeps: 6, RetriesPerK: 2, MaxRetries: 8}, r.Split())
 		check(err)
 		fmt.Printf("%10d %8d | %-12s %6d %8d %12d %10.3f\n",
@@ -363,7 +370,7 @@ func e8() {
 
 // ---------------------------------------------------------------- E9 -----
 
-func e9() {
+func e9(ctx context.Context) {
 	fmt.Println("claim: parallel conflict resolution needs per-machine memory")
 	fmt.Println("~total/machines; the gather baseline concentrates everything on one machine")
 	fmt.Printf("%8s %8s | %14s %16s %10s\n",
@@ -388,7 +395,7 @@ func e9() {
 		}
 		_, gatherWords := baseline.GatherConflictResolution(walks, m)
 		machines := 16
-		_, stats := weighted.ResolveWithinMPCWorkers(cands, m, machines, *workersFlag)
+		_, stats := weighted.ResolveWithinMPC(cands, m, machines, *workersFlag)
 		fmt.Printf("%8d %8d | %14d %16d %9.1fx\n",
 			b.Sum(), len(walks), gatherWords, stats.MaxMachineWords,
 			float64(gatherWords)/float64(stats.MaxMachineWords))
@@ -398,7 +405,7 @@ func e9() {
 
 // ---------------------------------------------------------------- E10 ----
 
-func e10() {
+func e10(ctx context.Context) {
 	fmt.Println("claim: the max(d̄, d_v) clamp in q_v keeps estimates accurate on")
 	fmt.Println("skewed graphs; without it low-degree vertices get oversized values")
 	n := scale(2000, 600)
@@ -412,10 +419,13 @@ func e10() {
 		rr := rng.New(4242) // identical randomness for both rules
 		T := 4
 		th := frac.NewThresholds(p, T+2, rr.Split())
-		res := p.OneRoundMPC(params, th, rr.Split())
-		seq := p.Sequential(res.T, th, rr.Split())
-		ySeq := p.VertexSums(seq)
-		yMPC := p.VertexSums(res.X)
+		res, err := p.OneRoundMPCCtx(ctx, params, th, rr.Split())
+		check(err)
+		w := frac.NewView[float64](p)
+		seq, err := w.Sequential(ctx, res.T, th, rr.Split(), nil, 0)
+		check(err)
+		ySeq := w.VertexSums(make([]float64, g.N), seq, 0)
+		yMPC := w.VertexSums(make([]float64, g.N), res.X, 0)
 		var errSum float64
 		bad := 0
 		for v := 0; v < g.N; v++ {
@@ -432,14 +442,14 @@ func e10() {
 			name = "ablated (d_v)"
 		}
 		fmt.Printf("%-14s | %12d %16.4f %12d\n",
-			name, len(p.ELoose(res.X, 0.05)), errSum/float64(g.N), bad)
+			name, len(w.ELoose(res.X, 0.05, 0)), errSum/float64(g.N), bad)
 	}
 	fmt.Println("shape: the ablated rule shows larger estimate error / more loose edges.")
 }
 
 // ---------------------------------------------------------------- E11 ----
 
-func e11() {
+func e11(ctx context.Context) {
 	fmt.Println("claim: random thresholds U(0.2b,0.4b) keep the coupled idealized and")
 	fmt.Println("approximate processes aligned; a fixed 0.5b threshold is knife-edge")
 	n := scale(2000, 600)
@@ -456,10 +466,13 @@ func e11() {
 		} else {
 			th = frac.NewThresholds(p, 8, rr.Split())
 		}
-		res := p.OneRoundMPC(params, th, rr.Split())
-		seq := p.Sequential(res.T, th, rr.Split())
-		ySeq := p.VertexSums(seq)
-		yMPC := p.VertexSums(res.X)
+		res, err := p.OneRoundMPCCtx(ctx, params, th, rr.Split())
+		check(err)
+		w := frac.NewView[float64](p)
+		seq, err := w.Sequential(ctx, res.T, th, rr.Split(), nil, 0)
+		check(err)
+		ySeq := w.VertexSums(make([]float64, g.N), seq, 0)
+		yMPC := w.VertexSums(make([]float64, g.N), res.X, 0)
 		var errSum float64
 		div := 0
 		for v := 0; v < g.N; v++ {
@@ -479,7 +492,7 @@ func e11() {
 
 // ---------------------------------------------------------------- E12 ----
 
-func e12() {
+func e12(ctx context.Context) {
 	fmt.Println("claim: the coupled idealized/approximate processes stay aligned —")
 	fmt.Println("per-round estimate error and activity divergence stay far below the")
 	fmt.Println("ρ_t = N^(-0.2)·100^t envelope of Theorem 3.26")

@@ -37,55 +37,59 @@ func ExampleSolve() {
 	// greedy weight: 4
 }
 
-// A path of three edges with unit budgets: the maximum matching takes the
-// two outer edges.
-func ExampleMax() {
+// A path of three edges with unit budgets: the maximum matching
+// (AlgoMax, Theorem 4.1) takes the two outer edges.
+func ExampleSolve_max() {
 	g, err := bmatch.NewGraph(4, []bmatch.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1},
 	})
 	if err != nil {
 		panic(err)
 	}
-	m, err := bmatch.Max(g, bmatch.UniformBudgets(4, 1), bmatch.Options{Seed: 1, Eps: 0.25})
+	rep, err := bmatch.Solve(context.Background(), g, bmatch.UniformBudgets(4, 1),
+		bmatch.Request{Algo: bmatch.AlgoMax, Seed: 1, Eps: 0.25})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("size:", m.Size())
+	fmt.Println("size:", rep.Size)
 	// Output:
 	// size: 2
 }
 
-// The classic weighted greedy trap (3-4-3): the optimum takes the outer
-// edges for weight 6.
-func ExampleMaxWeight() {
+// The classic weighted greedy trap (3-4-3): the maximum-weight solve
+// (AlgoMaxWeight, Theorem 5.1) takes the outer edges for weight 6.
+func ExampleSolve_maxWeight() {
 	g, err := bmatch.NewGraph(4, []bmatch.Edge{
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 3},
 	})
 	if err != nil {
 		panic(err)
 	}
-	m, err := bmatch.MaxWeight(g, bmatch.UniformBudgets(4, 1), bmatch.Options{Seed: 1, Eps: 0.2})
+	rep, err := bmatch.Solve(context.Background(), g, bmatch.UniformBudgets(4, 1),
+		bmatch.Request{Algo: bmatch.AlgoMaxWeight, Seed: 1, Eps: 0.2})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("weight:", m.Weight())
+	fmt.Println("weight:", rep.Weight)
 	// Output:
 	// weight: 6
 }
 
-// A triangle with budget 2 everywhere admits all three edges.
-func ExampleApprox() {
+// A triangle with budget 2 everywhere admits all three edges; the Θ(1)
+// solve (AlgoApprox, Theorem 3.1) certifies |M| against its dual bound.
+func ExampleSolve_approx() {
 	g, err := bmatch.NewGraph(3, []bmatch.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1},
 	})
 	if err != nil {
 		panic(err)
 	}
-	m, stats, err := bmatch.Approx(g, bmatch.UniformBudgets(3, 2), bmatch.Options{Seed: 1})
+	rep, err := bmatch.Solve(context.Background(), g, bmatch.UniformBudgets(3, 2),
+		bmatch.Request{Algo: bmatch.AlgoApprox, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("size:", m.Size(), "upper bound holds:", float64(m.Size()) <= stats.DualBound)
+	fmt.Println("size:", rep.Size, "upper bound holds:", float64(rep.Size) <= rep.Stats.DualBound)
 	// Output:
 	// size: 3 upper bound holds: true
 }
@@ -101,11 +105,12 @@ func ExampleUniformBudgets() {
 	}
 	b := bmatch.UniformBudgets(4, 1)
 	b[0] = 2
-	m, err := bmatch.Max(g, b, bmatch.Options{Seed: 1, Eps: 0.5})
+	rep, err := bmatch.Solve(context.Background(), g, b,
+		bmatch.Request{Algo: bmatch.AlgoMax, Seed: 1, Eps: 0.5})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("hub degree:", m.MatchedDeg(0))
+	fmt.Println("hub degree:", rep.M.MatchedDeg(0))
 	// Output:
 	// hub degree: 2
 }

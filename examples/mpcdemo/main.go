@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"math"
 
 	"repro/internal/baseline"
@@ -21,10 +23,14 @@ func main() {
 	g := graph.CoreFringe(1000, 1000*200, 3000, 1500, r.Split())
 	b := graph.RandomBudgets(g.N, 1, 3, r.Split())
 	p := frac.BMatchingProblem(g, b)
+	ctx := context.Background()
 	fmt.Printf("instance: n=%d m=%d d̄=%.0f\n\n", g.N, g.M(), g.AvgDeg())
 
 	// One compression step under the microscope.
-	one := p.OneRoundMPC(frac.PracticalParams(), nil, r.Split())
+	one, err := p.OneRoundMPCCtx(ctx, frac.PracticalParams(), nil, r.Split())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("one round-compression step (Algorithm 2):")
 	fmt.Printf("  partitions N = ⌈√d̄⌉ = %d, locally simulated iterations T = %d\n", one.N, one.T)
 	fmt.Printf("  machines = %d, communication rounds = %d\n", one.Machines, one.Stats.Rounds)
@@ -34,7 +40,10 @@ func main() {
 		one.Stats.TotalTraffic, one.Stats.MaxRoundIO)
 
 	// The full driver.
-	full := p.FullMPC(frac.PracticalParams(), r.Split())
+	full, err := p.FullMPCCtx(ctx, frac.PracticalParams(), r.Split())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("full driver (Algorithm 3):")
 	fmt.Printf("  compression steps = %d (log2 log2 d̄ = %.1f), total MPC rounds = %d\n",
 		full.Iterations, math.Log2(math.Log2(g.AvgDeg())), full.TotalSimRounds)
@@ -48,7 +57,10 @@ func main() {
 	}
 
 	// Distributed baselines for contrast.
-	un := baseline.Uncompressed(p, r.Split())
+	un, err := baseline.Uncompressed(ctx, p, r.Split())
+	if err != nil {
+		log.Fatal(err)
+	}
 	ii := baseline.IIMaximal(g, b, 0, r.Split())
 	fmt.Println("\nbaselines:")
 	fmt.Printf("  uncompressed doubling (KY09-style): %d rounds (Θ(log d̄))\n", un.Rounds)

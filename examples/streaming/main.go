@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,22 +23,23 @@ func main() {
 	b := graph.RandomBudgets(1500, 1, 3, r.Split())
 	fmt.Printf("stream: m = %d edges; memory budget Õ(Σb) with Σb = %d\n", g.M(), b.Sum())
 
-	onePass, err := bmatch.StreamMax(bmatch.NewSliceStream(g), g.N, b,
+	ctx := context.Background()
+	onePass, err := bmatch.SolveStream(ctx, bmatch.NewSliceStream(g), g.N, b,
 		// ε near the top of the accepted (0,1) range: the shortest walk
 		// length the contract allows, effectively greedy plus few rounds.
-		bmatch.Options{Seed: 1, Eps: 0.99})
+		bmatch.Request{Algo: bmatch.AlgoMax, Seed: 1, Eps: 0.99})
 	if err != nil {
 		log.Fatal(err)
 	}
-	multi, err := bmatch.StreamMax(bmatch.NewSliceStream(g), g.N, b,
-		bmatch.Options{Seed: 1, Eps: 0.5})
+	multi, err := bmatch.SolveStream(ctx, bmatch.NewSliceStream(g), g.N, b,
+		bmatch.Request{Algo: bmatch.AlgoMax, Seed: 1, Eps: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\n%-22s %8s %8s %12s\n", "variant", "|M|", "passes", "peak words")
-	fmt.Printf("%-22s %8d %8d %12d\n", "near-greedy (ε=.99)", onePass.Size, onePass.Passes, onePass.PeakWords)
-	fmt.Printf("%-22s %8d %8d %12d\n", "multi-pass (ε=0.5)", multi.Size, multi.Passes, multi.PeakWords)
+	fmt.Printf("%-22s %8d %8d %12d\n", "near-greedy (ε=.99)", onePass.Size, onePass.Stream.Passes, onePass.Stream.PeakWords)
+	fmt.Printf("%-22s %8d %8d %12d\n", "multi-pass (ε=0.5)", multi.Size, multi.Stream.Passes, multi.Stream.PeakWords)
 	fmt.Printf("\npeak memory vs m: %.1f%% — the stream was never stored\n",
-		100*float64(multi.PeakWords)/float64(3*g.M()))
+		100*float64(multi.Stream.PeakWords)/float64(3*g.M()))
 }

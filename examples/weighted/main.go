@@ -7,11 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	bmatch "repro"
-	"repro/internal/baseline"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -36,19 +36,23 @@ func main() {
 	fmt.Printf("auction: %d bidders, %d items, %d bids; optimal revenue %.0f\n",
 		bidders, items, g.M(), opt)
 
-	gm := baseline.GreedyWeighted(g, b)
+	ctx := context.Background()
+	gm, err := bmatch.Solve(ctx, g, b, bmatch.Request{Algo: bmatch.AlgoGreedy})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%-18s %10s %8s\n", "algorithm", "revenue", "ratio")
-	fmt.Printf("%-18s %10.0f %8.4f\n", "greedy (2-approx)", gm.Weight(), gm.Weight()/opt)
+	fmt.Printf("%-18s %10.0f %8.4f\n", "greedy (2-approx)", gm.Weight, gm.Weight/opt)
 
-	// ε must lie in (0,1) (Options.Validate); 0.99 is the coarsest accepted
+	// ε must lie in (0,1) (Request.Validate); 0.99 is the coarsest accepted
 	// slack and behaves like the K=2 near-greedy end of the spectrum.
 	for _, eps := range []float64{0.99, 0.5, 0.25} {
-		m, err := bmatch.MaxWeight(g, b, bmatch.Options{Seed: 1, Eps: eps})
+		rep, err := bmatch.Solve(ctx, g, b, bmatch.Request{Algo: bmatch.AlgoMaxWeight, Seed: 1, Eps: eps})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s %10.0f %8.4f\n",
-			fmt.Sprintf("(1+ε), ε=%.2f", eps), m.Weight(), m.Weight()/opt)
+			fmt.Sprintf("(1+ε), ε=%.2f", eps), rep.Weight, rep.Weight/opt)
 	}
 	fmt.Println("\nratios should approach 1.0 as ε shrinks (Theorem 5.1).")
 }

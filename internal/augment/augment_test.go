@@ -1,6 +1,7 @@
 package augment
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -75,7 +76,7 @@ func TestAssignSlotsValid(t *testing.T) {
 func TestAssignSlotsMPCMatchesLocal(t *testing.T) {
 	m := buildMatched(t, 2, 40, 200, 3)
 	local := AssignSlots(m)
-	dist, stats := AssignSlotsMPC(m, 4)
+	dist, stats := AssignSlotsMPC(m, 4, 0)
 	checkSlots(t, m, dist)
 	g := m.Graph()
 	for e := 0; e < g.M(); e++ {
@@ -222,8 +223,8 @@ func TestLayeredGrowWalksAreValid(t *testing.T) {
 			}
 		}
 		for k := 1; k <= 3; k++ {
-			L := BuildLayered(m, k, r.Split())
-			walks := L.Grow(r.Split())
+			L := buildLayeredScratch(m, k, r.Split(), nil)
+			walks := L.growScratch(r.Split(), nil)
 			for _, w := range walks {
 				if l := len(w.EdgeIDs); l%2 == 0 || l > 2*k+1 {
 					t.Fatalf("walk length %d, want odd and ≤ %d", l, 2*k+1)
@@ -256,7 +257,7 @@ func TestOnePlusEpsReachesOptimumSmall(t *testing.T) {
 		g := graph.Gnm(10, 18, r.Split())
 		b := graph.RandomBudgets(10, 1, 2, r.Split())
 		opt, _ := exact.BruteForce(g, b)
-		res, err := OnePlusEps(g, b, nil, DefaultParams(0.2), r.Split())
+		res, err := OnePlusEpsCtx(context.Background(), g, b, nil, DefaultParams(0.2), r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestOnePlusEpsBipartiteQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEps(g, b, nil, DefaultParams(0.25), r.Split())
+	res, err := OnePlusEpsCtx(context.Background(), g, b, nil, DefaultParams(0.25), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestOnePlusEpsImprovesOverGreedyAdversarial(t *testing.T) {
 	b := graph.UniformBudgets(4, 1)
 	m := matching.MustNew(g, b)
 	_ = m.Add(0) // middle edge; maximal
-	res, err := OnePlusEps(g, b, m, DefaultParams(0.4), rng.New(5))
+	res, err := OnePlusEpsCtx(context.Background(), g, b, m, DefaultParams(0.4), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestOnePlusEpsFeasibilityProperty(t *testing.T) {
 		r := rng.New(seed)
 		g := graph.Gnm(15, 40, r.Split())
 		b := graph.RandomBudgets(15, 1, 3, r.Split())
-		res, err := OnePlusEps(g, b, nil, Params{Eps: 0.5, RetriesPerK: 3, MaxSweeps: 10, StallSweeps: 2}, r.Split())
+		res, err := OnePlusEpsCtx(context.Background(), g, b, nil, Params{Eps: 0.5, RetriesPerK: 3, MaxSweeps: 10, StallSweeps: 2}, r.Split())
 		if err != nil {
 			return false
 		}

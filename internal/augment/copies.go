@@ -97,15 +97,9 @@ func AssignSlots(m *matching.BMatching) SlotAssignment {
 // numbers each vertex's pairs, and per-vertex bases are subtracted so each
 // pair learns its rank within its vertex. It costs O(1) simulator rounds
 // with O(n^δ)-sized shards; the returned stats let experiment tests verify
-// the round count.
-func AssignSlotsMPC(m *matching.BMatching, machines int) (SlotAssignment, mpc.Stats) {
-	return AssignSlotsMPCWorkers(m, machines, 0)
-}
-
-// AssignSlotsMPCWorkers is AssignSlotsMPC with an explicit worker-pool
-// width for the simulator (0 = GOMAXPROCS). The assignment and stats are
-// identical for every worker count.
-func AssignSlotsMPCWorkers(m *matching.BMatching, machines, workers int) (SlotAssignment, mpc.Stats) {
+// the round count. workers is the simulator's worker-pool width
+// (0 = GOMAXPROCS); the assignment and stats are identical for every width.
+func AssignSlotsMPC(m *matching.BMatching, machines, workers int) (SlotAssignment, mpc.Stats) {
 	g := m.Graph()
 	if machines < 2 {
 		machines = 2

@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/mpc"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scratch"
 )
@@ -96,19 +96,16 @@ type Result struct {
 	EstMPCRounds int
 }
 
-// OnePlusEps improves the given matching to a (1+ε)-approximate maximum
+// OnePlusEpsCtx improves the given matching to a (1+ε)-approximate maximum
 // b-matching (with the probabilistic guarantees of Theorem 4.1). If initial
 // is nil a greedy maximal matching is used as the starting point; otherwise
 // initial is modified in place and must be a matching over g and b.
-func OnePlusEps(g *graph.Graph, b graph.Budgets, initial *matching.BMatching, params Params, r *rng.RNG) (*Result, error) {
-	return OnePlusEpsCtx(context.Background(), g, b, initial, params, r)
-}
-
-// OnePlusEpsCtx is OnePlusEps with cooperative cancellation: ctx is checked
-// at every sweep and every per-k wave of layered-instance tries, and a
-// cancelled run returns ctx's error. The matching passed as initial may
-// have absorbed some augmentations by then (it is improved in place); a
-// fresh uncancelled run with the same seed is bit-identical to OnePlusEps.
+//
+// ctx is checked at every sweep and every per-k wave of layered-instance
+// tries, and a cancelled run returns ctx's error. The matching passed as
+// initial may have absorbed some augmentations by then (it is improved in
+// place); a fresh run with the same seed is bit-identical to one that was
+// never cancelled.
 func OnePlusEpsCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, initial *matching.BMatching, params Params, r *rng.RNG) (*Result, error) {
 	params = params.withDefaults()
 	m := initial
@@ -161,9 +158,9 @@ func OnePlusEpsCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, initial
 
 // runTries executes retries independent layered-instance tries for walk
 // length k, applying found walks to m. Tries are speculatively built and
-// grown in parallel waves against the unchanged matching (Grow reads m but
-// mutates only instance-local state); walks are then applied strictly in
-// try order. Once a try in a wave applies a walk, the matching has
+// grown in parallel waves against the unchanged matching (growScratch
+// reads m but mutates only instance-local state); walks are then applied
+// strictly in try order. Once a try in a wave applies a walk, the matching has
 // diverged from what the later speculations saw, so those tries are
 // replayed serially from the same reserved RNG seeds — making the output
 // identical to the serial driver for every worker count. Walks dry up in
@@ -173,7 +170,7 @@ func runTries(ctx context.Context, m *matching.BMatching, k, retries, workers in
 		seedB, seedG int64
 		walks        []matching.Walk
 	}
-	wave := min(mpc.PoolSize(workers)*4, retries)
+	wave := min(par.PoolSize(workers)*4, retries)
 	applied := 0
 	for base := 0; base < retries; base += wave {
 		if err := ctx.Err(); err != nil {
@@ -184,7 +181,7 @@ func runTries(ctx context.Context, m *matching.BMatching, k, retries, workers in
 			tries[i].seedB, tries[i].seedG = r.Reserve(), r.Reserve()
 		}
 		//lint:parallel tries write only their own slot with pre-reserved RNG seeds; acceptance replays serially in try order
-		mpc.ParallelFor(workers, len(tries), func(i int) {
+		par.ParallelFor(workers, len(tries), func(i int) {
 			if ctx.Err() != nil {
 				return // caller aborts before applying anything from this wave
 			}

@@ -1,6 +1,7 @@
 package augment
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exact"
@@ -16,8 +17,8 @@ func TestLayeredKZeroFindsFreeFreeEdges(t *testing.T) {
 	found := false
 	r := rng.New(1)
 	for try := 0; try < 50 && !found; try++ {
-		L := BuildLayered(m, 0, r.Split())
-		walks := L.Grow(r.Split())
+		L := buildLayeredScratch(m, 0, r.Split(), nil)
+		walks := L.growScratch(r.Split(), nil)
 		if len(walks) == 1 && len(walks[0].EdgeIDs) == 1 {
 			found = true
 		}
@@ -31,7 +32,7 @@ func TestDriverZeroBudgetVertices(t *testing.T) {
 	r := rng.New(2)
 	g := graph.Gnm(20, 60, r.Split())
 	b := graph.RandomBudgets(20, 0, 2, r.Split()) // some zeros
-	res, err := OnePlusEps(g, b, nil, Params{Eps: 0.5, RetriesPerK: 2, MaxSweeps: 5, StallSweeps: 2, MaxRetriesPerK: 4}, r.Split())
+	res, err := OnePlusEpsCtx(context.Background(), g, b, nil, Params{Eps: 0.5, RetriesPerK: 2, MaxSweeps: 5, StallSweeps: 2, MaxRetriesPerK: 4}, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestDriverZeroBudgetVertices(t *testing.T) {
 
 func TestDriverEmptyGraph(t *testing.T) {
 	g := graph.MustNew(5, nil)
-	res, err := OnePlusEps(g, graph.UniformBudgets(5, 2), nil, DefaultParams(0.5), rng.New(3))
+	res, err := OnePlusEpsCtx(context.Background(), g, graph.UniformBudgets(5, 2), nil, DefaultParams(0.5), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestDriverAlreadyOptimalStopsQuickly(t *testing.T) {
 	m := matching.MustNew(g, b)
 	_ = m.Add(0)
 	_ = m.Add(1)
-	res, err := OnePlusEps(g, b, m, Params{Eps: 0.5, RetriesPerK: 2, MaxSweeps: 30, StallSweeps: 2, MaxRetriesPerK: 4}, rng.New(4))
+	res, err := OnePlusEpsCtx(context.Background(), g, b, m, Params{Eps: 0.5, RetriesPerK: 2, MaxSweeps: 30, StallSweeps: 2, MaxRetriesPerK: 4}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDriverMultigraph(t *testing.T) {
 	// Parallel edges: with b=2 at both endpoints, both copies can match.
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 1}})
 	b := graph.UniformBudgets(2, 2)
-	res, err := OnePlusEps(g, b, nil, DefaultParams(0.5), rng.New(5))
+	res, err := OnePlusEpsCtx(context.Background(), g, b, nil, DefaultParams(0.5), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestOnePlusEpsHeterogeneousBudgetsQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEps(g, b, nil, DefaultParams(0.25), r.Split())
+	res, err := OnePlusEpsCtx(context.Background(), g, b, nil, DefaultParams(0.25), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +148,8 @@ func TestGrowDoesNotReuseFreeSlots(t *testing.T) {
 	m := matching.MustNew(g, b)
 	r := rng.New(8)
 	for try := 0; try < 100; try++ {
-		L := BuildLayered(m, 1, r.Split())
-		walks := L.Grow(r.Split())
+		L := buildLayeredScratch(m, 1, r.Split(), nil)
+		walks := L.growScratch(r.Split(), nil)
 		if len(walks) > 1 {
 			t.Fatalf("star with hub budget 1 yielded %d walks", len(walks))
 		}

@@ -50,19 +50,11 @@ type Layered struct {
 
 func lkey(layer int, v int32) int64 { return int64(layer)<<32 | int64(v) }
 
-// BuildLayered draws a random layered graph for matching m with K matched
-// layers. The returned instance owns its buffers; the driver's hot loop
-// uses buildLayeredScratch instead, which borrows them from an arena whose
-// lifetime the caller scopes around the instance.
-func BuildLayered(m *matching.BMatching, K int, r *rng.RNG) *Layered {
-	return buildLayeredScratch(m, K, r, nil)
-}
-
-// buildLayeredScratch is BuildLayered drawing the instance's flat arrays
-// from ar (nil allocates them normally). The instance — including the walks
-// index maps, but not the walks returned by Grow, which are copied out —
-// must not outlive the borrow scope of ar. RNG consumption is identical to
-// BuildLayered.
+// buildLayeredScratch draws a random layered graph for matching m with K
+// matched layers, taking the instance's flat arrays from ar (nil allocates
+// them normally). The instance — including the walks index maps, but not
+// the walks returned by growScratch, which are copied out — must not
+// outlive the borrow scope of ar. RNG consumption does not depend on ar.
 func buildLayeredScratch(m *matching.BMatching, K int, r *rng.RNG, ar *scratch.Arena) *Layered {
 	g := m.Graph()
 	var L *Layered
@@ -141,17 +133,13 @@ type path struct {
 	end   int32 // current head vertex
 }
 
-// Grow runs the layer-by-layer extension and returns the vertex-copy- and
-// edge-disjoint augmenting walks found (each with exactly K matched edges,
-// alternating walk length 2K+1). The returned walks can all be applied to
-// the matching the instance was built from.
-func (L *Layered) Grow(r *rng.RNG) []matching.Walk {
-	return L.growScratch(r, nil)
-}
-
-// growScratch is Grow with its free-slot counters borrowed from ar (nil
-// allocates). The returned walks are always safe to retain: their edge
-// lists are built by ordinary appends, never on the arena.
+// growScratch runs the layer-by-layer extension and returns the
+// vertex-copy- and edge-disjoint augmenting walks found (each with exactly
+// K matched edges, alternating walk length 2K+1). The returned walks can
+// all be applied to the matching the instance was built from. The
+// free-slot counters are borrowed from ar (nil allocates); the returned
+// walks are always safe to retain: their edge lists are built by ordinary
+// appends, never on the arena.
 func (L *Layered) growScratch(r *rng.RNG, ar *scratch.Arena) []matching.Walk {
 	g := L.m.Graph()
 
@@ -239,18 +227,4 @@ func (L *Layered) growScratch(r *rng.RNG, ar *scratch.Arena) []matching.Walk {
 		walks = append(walks, matching.Walk{EdgeIDs: p.edges, Start: p.start})
 	}
 	return walks
-}
-
-// GrowAndApply builds nothing new: it applies the walks from Grow to the
-// matching, returning how many were applied. All walks from one instance
-// are mutually compatible by construction; any application error indicates
-// a bug and is surfaced by panicking in tests via the returned error count.
-func (L *Layered) GrowAndApply(r *rng.RNG) (applied int, err error) {
-	for _, w := range L.Grow(r) {
-		if e := w.Apply(L.m); e != nil {
-			return applied, e
-		}
-		applied++
-	}
-	return applied, nil
 }

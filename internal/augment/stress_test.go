@@ -1,6 +1,7 @@
 package augment
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -33,7 +34,7 @@ func TestDriverSolvesLongPathTraps(t *testing.T) {
 		g, b, m := alternatingPathTrap(k)
 		want := m.Size() + 1
 		eps := 2.0 / float64(k) // MaxK == k exactly
-		res, err := OnePlusEps(g, b, m, Params{
+		res, err := OnePlusEpsCtx(context.Background(), g, b, m, Params{
 			Eps:            eps,
 			RetriesPerK:    16,
 			MaxRetriesPerK: 4096,
@@ -54,7 +55,7 @@ func TestDriverRoundAccounting(t *testing.T) {
 	r := rng.New(9)
 	g := graph.Gnm(30, 120, r.Split())
 	b := graph.UniformBudgets(30, 1)
-	res, err := OnePlusEps(g, b, nil, Params{Eps: 0.5, RetriesPerK: 2, MaxSweeps: 3, StallSweeps: 1, MaxRetriesPerK: 2}, r.Split())
+	res, err := OnePlusEpsCtx(context.Background(), g, b, nil, Params{Eps: 0.5, RetriesPerK: 2, MaxSweeps: 3, StallSweeps: 1, MaxRetriesPerK: 2}, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestDriverSolvesParallelTraps(t *testing.T) {
 		}
 	}
 	start := m.Size()
-	res, err := OnePlusEps(g, b, m, Params{
+	res, err := OnePlusEpsCtx(context.Background(), g, b, m, Params{
 		Eps: 1, RetriesPerK: 16, MaxRetriesPerK: 2048, StallSweeps: 4, MaxSweeps: 300,
 	}, rng.New(77))
 	if err != nil {

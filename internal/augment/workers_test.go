@@ -1,6 +1,7 @@
 package augment
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestOnePlusEpsDeterministicAcrossWorkers(t *testing.T) {
 		b := graph.RandomBudgets(80, 1, 3, r.Split())
 		params := DefaultParams(0.5)
 		params.Workers = workers
-		res, err := OnePlusEps(g, b, nil, params, r.Split())
+		res, err := OnePlusEpsCtx(context.Background(), g, b, nil, params, r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,16 +45,16 @@ func TestOnePlusEpsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAssignSlotsMPCWorkersMatches: the explicit-workers variant agrees
-// with the default for assignment and stats.
+// TestAssignSlotsMPCWorkersMatches: the assignment and stats agree for
+// every simulator worker count.
 func TestAssignSlotsMPCWorkersMatches(t *testing.T) {
 	r := rng.New(11)
 	g := graph.Gnm(60, 400, r.Split())
 	b := graph.RandomBudgets(60, 1, 3, r.Split())
 	m := matching.MustNew(g, b)
 	greedyFill(m)
-	ref, refStats := AssignSlotsMPCWorkers(m, 4, 1)
-	got, gotStats := AssignSlotsMPCWorkers(m, 4, 4)
+	ref, refStats := AssignSlotsMPC(m, 4, 1)
+	got, gotStats := AssignSlotsMPC(m, 4, 4)
 	if refStats != gotStats {
 		t.Fatalf("stats diverged: %+v vs %+v", gotStats, refStats)
 	}

@@ -36,25 +36,16 @@ func Greedy(g *graph.Graph, b graph.Budgets) *matching.BMatching {
 	return m
 }
 
-// GreedyWeighted returns the b-matching built by scanning edges in
-// descending weight order; a classic 2-approximation for maximum weight
-// b-matching.
-func GreedyWeighted(g *graph.Graph, b graph.Budgets) *matching.BMatching {
-	m, err := GreedyWeightedCtx(context.Background(), g, b)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return m
-}
-
 // greedyCancelStride is how many edges GreedyWeightedCtx scans between
 // cancellation checks: frequent enough that the scan phase aborts within
 // milliseconds, rare enough to stay off the hot path.
 const greedyCancelStride = 1 << 16
 
-// GreedyWeightedCtx is GreedyWeighted with cooperative cancellation,
-// checked before the weight sort and every greedyCancelStride edges of the
-// scan (the checks never affect the output, only whether it is produced).
+// GreedyWeightedCtx returns the b-matching built by scanning edges in
+// descending weight order; a classic 2-approximation for maximum weight
+// b-matching. ctx is checked before the weight sort and every
+// greedyCancelStride edges of the scan (the checks never affect the
+// output, only whether it is produced).
 // The O(m log m) sort itself is not interruptible, so that — not one scan
 // stride — bounds the worst-case abort latency. A cancelled call returns
 // ctx's error with no partial matching.
@@ -98,11 +89,14 @@ type UncompressedResult struct {
 // Uncompressed runs the idealized doubling process (Algorithm 1) with one
 // MPC communication round per step, i.e. without round compression, until
 // the solution is 0.2-tight. Its round count is the baseline column of
-// experiment E2.
-func Uncompressed(p *frac.Problem, r *rng.RNG) *UncompressedResult {
+// experiment E2. A cancelled ctx aborts the run with ctx's error.
+func Uncompressed(ctx context.Context, p *frac.Problem, r *rng.RNG) (*UncompressedResult, error) {
 	T := frac.TightRounds(p.G.M())
-	x := p.Sequential(T, nil, r)
-	return &UncompressedResult{X: x, Rounds: T}
+	x, err := frac.NewView[float64](p).Sequential(ctx, T, nil, r, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &UncompressedResult{X: x, Rounds: T}, nil
 }
 
 // GatherConflictResolution is the prior-work conflict-resolution baseline

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exact"
@@ -44,7 +45,10 @@ func TestGreedyWeightedTwoApprox(t *testing.T) {
 		g := graph.GnmWeighted(8, 12, 0.5, 4, r.Split())
 		b := graph.RandomBudgets(8, 1, 2, r.Split())
 		_, optW := exact.BruteForce(g, b)
-		m := GreedyWeighted(g, b)
+		m, err := GreedyWeightedCtx(context.Background(), g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if 2*m.Weight() < optW-1e-9 {
 			t.Fatalf("seed %d: weighted greedy %v below half of optimum %v", seed, m.Weight(), optW)
 		}
@@ -65,11 +69,14 @@ func TestUncompressedRoundsAreLogarithmic(t *testing.T) {
 	r := rng.New(4)
 	g := graph.Gnm(100, 2000, r.Split())
 	p := frac.BMatchingProblem(g, graph.UniformBudgets(100, 2))
-	res := Uncompressed(p, r.Split())
+	res, err := Uncompressed(context.Background(), p, r.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Rounds != frac.TightRounds(g.M()) {
 		t.Fatalf("rounds = %d, want %d", res.Rounds, frac.TightRounds(g.M()))
 	}
-	if err := p.CheckFeasible(res.X); err != nil {
+	if err := p.CheckFeasibleTol(res.X, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	if !p.IsTight(res.X, 0.2) {

@@ -1,14 +1,17 @@
 // Package core wires the substrates into the paper's three headline
 // results:
 //
-//   - ConstApprox — Theorem 3.1: Θ(1)-approximate unweighted b-matching in
-//     O(log log d̄) MPC compression steps (FullMPC → Lemma 3.3 rounding →
-//     greedy fill).
-//   - OnePlusEpsUnweighted — Theorem 4.1: (1+ε)-approximate unweighted
-//     b-matching (ConstApprox, then Section 4 augmentation).
-//   - OnePlusEpsWeighted — Theorem 5.1: (1+ε)-approximate weighted
+//   - ConstApproxCtx — Theorem 3.1: Θ(1)-approximate unweighted b-matching
+//     in O(log log d̄) MPC compression steps (FullMPC → Lemma 3.3 rounding
+//     → greedy fill).
+//   - OnePlusEpsUnweightedCtx — Theorem 4.1: (1+ε)-approximate unweighted
+//     b-matching (ConstApproxCtx, then Section 4 augmentation).
+//   - OnePlusEpsWeightedCtx — Theorem 5.1: (1+ε)-approximate weighted
 //     b-matching (greedy start, then Section 5 augmentation with conflict
 //     resolution).
+//
+// Each takes a context that is threaded into every driver below it; a
+// cancelled solve returns ctx's error and no partial result.
 package core
 
 import (
@@ -38,15 +41,9 @@ type ConstApproxResult struct {
 	DualBound float64
 }
 
-// ConstApprox runs the Theorem 3.1 pipeline.
-func ConstApprox(g *graph.Graph, b graph.Budgets, params frac.MPCParams, r *rng.RNG) (*ConstApproxResult, error) {
-	return ConstApproxCtx(context.Background(), g, b, params, r)
-}
-
-// ConstApproxCtx is ConstApprox with cooperative cancellation, threaded
-// into the FullMPC compression loop, the simulator's superstep boundaries,
-// and the rounding repeats. A cancelled solve returns ctx's error and no
-// partial result; an uncancelled run is bit-identical to ConstApprox.
+// ConstApproxCtx runs the Theorem 3.1 pipeline. ctx is threaded into the
+// FullMPC compression loop, the simulator's superstep boundaries, and the
+// rounding repeats.
 func ConstApproxCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, params frac.MPCParams, r *rng.RNG) (*ConstApproxResult, error) {
 	if err := b.Validate(g); err != nil {
 		return nil, err
@@ -73,14 +70,9 @@ func ConstApproxCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, params
 	}, nil
 }
 
-// OnePlusEpsUnweighted runs the Theorem 4.1 pipeline: the Θ(1) MPC start
-// followed by layered-graph augmentation until (1+ε)-optimality.
-func OnePlusEpsUnweighted(g *graph.Graph, b graph.Budgets, eps float64, mpcParams frac.MPCParams, augParams augment.Params, r *rng.RNG) (*augment.Result, error) {
-	return OnePlusEpsUnweightedCtx(context.Background(), g, b, eps, mpcParams, augParams, r)
-}
-
-// OnePlusEpsUnweightedCtx is OnePlusEpsUnweighted with cooperative
-// cancellation through both stages (MPC start and augmentation sweeps).
+// OnePlusEpsUnweightedCtx runs the Theorem 4.1 pipeline: the Θ(1) MPC
+// start followed by layered-graph augmentation until (1+ε)-optimality.
+// ctx is threaded through both stages (MPC start and augmentation sweeps).
 func OnePlusEpsUnweightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, eps float64, mpcParams frac.MPCParams, augParams augment.Params, r *rng.RNG) (*augment.Result, error) {
 	start, err := ConstApproxCtx(ctx, g, b, mpcParams, r.Split())
 	if err != nil {
@@ -95,13 +87,8 @@ func OnePlusEpsUnweightedCtx(ctx context.Context, g *graph.Graph, b graph.Budget
 	return augment.OnePlusEpsCtx(ctx, g, b, start.M, augParams, r.Split())
 }
 
-// OnePlusEpsWeighted runs the Theorem 5.1 pipeline.
-func OnePlusEpsWeighted(g *graph.Graph, b graph.Budgets, eps float64, params weighted.Params, r *rng.RNG) (*weighted.Result, error) {
-	return OnePlusEpsWeightedCtx(context.Background(), g, b, eps, params, r)
-}
-
-// OnePlusEpsWeightedCtx is OnePlusEpsWeighted with cooperative cancellation
-// checked at every driver round.
+// OnePlusEpsWeightedCtx runs the Theorem 5.1 pipeline, with ctx checked at
+// every driver round.
 func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, eps float64, params weighted.Params, r *rng.RNG) (*weighted.Result, error) {
 	if err := b.Validate(g); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +17,7 @@ func TestConstApproxPipeline(t *testing.T) {
 	r := rng.New(1)
 	g := graph.Gnm(300, 6000, r.Split())
 	b := graph.RandomBudgets(300, 1, 4, r.Split())
-	res, err := ConstApprox(g, b, frac.PracticalParams(), r.Split())
+	res, err := ConstApproxCtx(context.Background(), g, b, frac.PracticalParams(), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestConstApproxAgainstExactBipartite(t *testing.T) {
 	r := rng.New(2)
 	g := graph.Bipartite(60, 60, 700, r.Split())
 	b := graph.RandomBudgets(120, 1, 3, r.Split())
-	res, err := ConstApprox(g, b, frac.PracticalParams(), r.Split())
+	res, err := ConstApproxCtx(context.Background(), g, b, frac.PracticalParams(), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +57,14 @@ func TestConstApproxAgainstExactBipartite(t *testing.T) {
 
 func TestConstApproxRejectsInvalidBudgets(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := ConstApprox(g, graph.Budgets{1, 1}, frac.PracticalParams(), rng.New(1)); err == nil {
+	if _, err := ConstApproxCtx(context.Background(), g, graph.Budgets{1, 1}, frac.PracticalParams(), rng.New(1)); err == nil {
 		t.Fatal("short budgets accepted")
 	}
 }
 
 func TestConstApproxEmptyGraph(t *testing.T) {
 	g := graph.MustNew(10, nil)
-	res, err := ConstApprox(g, graph.UniformBudgets(10, 2), frac.PracticalParams(), rng.New(1))
+	res, err := ConstApproxCtx(context.Background(), g, graph.UniformBudgets(10, 2), frac.PracticalParams(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestOnePlusEpsUnweightedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEpsUnweighted(g, b, 0.25, frac.PracticalParams(),
+	res, err := OnePlusEpsUnweightedCtx(context.Background(), g, b, 0.25, frac.PracticalParams(),
 		augment.DefaultParams(0.25), r.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestOnePlusEpsWeightedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEpsWeighted(g, b, 0.25, weighted.DefaultParams(0.25), r.Split())
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, 0.25, weighted.DefaultParams(0.25), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestOnePlusEpsWeightedPipeline(t *testing.T) {
 
 func TestOnePlusEpsWeightedRejectsInvalidBudgets(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := OnePlusEpsWeighted(g, graph.Budgets{-1, 1, 1, 1}, 0.5,
+	if _, err := OnePlusEpsWeightedCtx(context.Background(), g, graph.Budgets{-1, 1, 1, 1}, 0.5,
 		weighted.DefaultParams(0.5), rng.New(1)); err == nil {
 		t.Fatal("negative budget accepted")
 	}
@@ -130,7 +131,7 @@ func TestPipelineValidityProperty(t *testing.T) {
 		r := rng.New(seed)
 		g := graph.Gnm(40, 200, r.Split())
 		b := graph.RandomBudgets(40, 1, 3, r.Split())
-		res, err := ConstApprox(g, b, frac.PracticalParams(), r.Split())
+		res, err := ConstApproxCtx(context.Background(), g, b, frac.PracticalParams(), r.Split())
 		if err != nil {
 			return false
 		}
@@ -145,11 +146,11 @@ func TestPipelineValidityProperty(t *testing.T) {
 func TestPipelineDeterminism(t *testing.T) {
 	g := graph.Gnm(100, 1500, rng.New(9))
 	b := graph.UniformBudgets(100, 2)
-	a, err := ConstApprox(g, b, frac.PracticalParams(), rng.New(5))
+	a, err := ConstApproxCtx(context.Background(), g, b, frac.PracticalParams(), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ConstApprox(g, b, frac.PracticalParams(), rng.New(5))
+	c, err := ConstApproxCtx(context.Background(), g, b, frac.PracticalParams(), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

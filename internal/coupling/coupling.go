@@ -59,7 +59,7 @@ func (r *Result) Rho(t int) float64 {
 
 // Run executes T coupled rounds on problem p with N partitions, sharing
 // thresholds th (drawn fresh when nil). A partition assignment is drawn
-// from rnd; both processes start from p.InitialValues.
+// from rnd; both processes start from Algorithm 1's initialization.
 func Run(p *frac.Problem, N, T int, th frac.ThresholdFn, rnd *rng.RNG) *Result {
 	g := p.G
 	if th == nil {
@@ -77,10 +77,11 @@ func Run(p *frac.Problem, N, T int, th frac.ThresholdFn, rnd *rng.RNG) *Result {
 		local[e] = part[ed.U] == part[ed.V]
 	}
 
-	x := p.InitialValues(g.AvgDeg())   // idealized values
-	xt := append([]float64(nil), x...) // approximate values
-	act := make([]bool, g.N)           // V_t^active
-	actT := make([]bool, g.N)          // Ṽ_t^active
+	// Idealized values x and approximate values xt.
+	x := frac.NewView[float64](p).InitialValues(make([]float64, g.M()), make([]float64, g.N), g.AvgDeg(), 1)
+	xt := append([]float64(nil), x...)
+	act := make([]bool, g.N)  // V_t^active
+	actT := make([]bool, g.N) // Ṽ_t^active
 	for v := range act {
 		act[v] = true
 		actT[v] = true
@@ -135,7 +136,7 @@ func Run(p *frac.Problem, N, T int, th frac.ThresholdFn, rnd *rng.RNG) *Result {
 func measure(p *frac.Problem, x, xt []float64, act, actT []bool, local []bool, N, t int) RoundStats {
 	g := p.G
 	st := RoundStats{T: t}
-	y := p.VertexSums(x)
+	y := frac.NewView[float64](p).VertexSums(make([]float64, g.N), x, 0)
 	// The partition estimate of the approximate process's sums.
 	yt := make([]float64, g.N)
 	for e := 0; e < g.M(); e++ {

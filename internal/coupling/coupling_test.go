@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/frac"
@@ -118,11 +119,14 @@ func TestCoupledIdealizedMatchesSequential(t *testing.T) {
 	p := problem(300, 5000, 11)
 	T := 6
 	th := frac.NewThresholds(p, T, rng.New(12))
-	seqX := p.Sequential(T, th, rng.New(13))
+	seqX, err := frac.NewView[float64](p).Sequential(context.Background(), T, th, rng.New(13), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Extract the idealized side by running the coupled processes with N so
 	// large that... simpler: verify divergence of y-sums between coupled
 	// idealized process and Sequential via feasibility checks on both.
-	if err := p.CheckFeasible(seqX); err != nil {
+	if err := p.CheckFeasibleTol(seqX, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	res := Run(p, 8, T, th, rng.New(14))

@@ -15,8 +15,8 @@
 //
 // Cancellation contract: Session.Solve and Pool.Submit take a
 // context.Context that is threaded down through every solver driver
-// (core → frac.FullMPC/OneRoundMPC, round, augment, weighted) and into the
-// MPC simulator, which checks it at every superstep boundary. A cancelled
+// (core → frac.FullMPCCtx/OneRoundMPCCtx, round, augment, weighted) and
+// into the MPC simulator, which checks it at every superstep boundary. A cancelled
 // solve aborts within one round of work, frees its worker, returns the
 // context's error, and stores nothing in the result cache; a re-run with
 // the same seed is bit-identical to a solve that was never cancelled.
@@ -115,7 +115,7 @@ type Spec struct {
 const DefaultEps = 0.25
 
 // ValidateEps is the single source of the ε contract, shared by
-// bmatch.Options, Spec, and the bmatchd request boundary: zero keeps the
+// bmatch.Request, Spec, and the bmatchd request boundary: zero keeps the
 // default, (0,1) is accepted, and negative/NaN/Inf/≥1 are rejected — the
 // drivers' layer counts k = O(1/ε) and thresholds are undefined for them.
 func ValidateEps(eps float64) error {

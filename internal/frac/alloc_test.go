@@ -21,17 +21,18 @@ func TestSequentialSteadyStateAllocs(t *testing.T) {
 	g := graph.Gnm(2000, 16000, r.Split())
 	p := BMatchingProblem(g, graph.UniformBudgets(2000, 2))
 	T := TightRounds(g.M())
+	w := NewView[float64](p)
 	ar := new(scratch.Arena)
 	ctx := context.Background()
 
 	// Warm the arena to its steady-state footprint.
 	for i := 0; i < 3; i++ {
-		if _, err := p.SequentialScratch(ctx, T, nil, rng.New(int64(i)), ar); err != nil {
+		if _, err := w.Sequential(ctx, T, nil, rng.New(int64(i)), ar, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := p.SequentialScratch(ctx, T, nil, rng.New(42), ar); err != nil {
+		if _, err := w.Sequential(ctx, T, nil, rng.New(42), ar, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -39,7 +40,7 @@ func TestSequentialSteadyStateAllocs(t *testing.T) {
 	// headroom below the ~n=2000 a threshold-table regression would cost.
 	const budget = 24
 	if avg > budget {
-		t.Fatalf("warmed SequentialScratch run allocates %.0f objects, budget %d — a per-round buffer is being reallocated", avg, budget)
+		t.Fatalf("warmed Sequential run allocates %.0f objects, budget %d — a per-round buffer is being reallocated", avg, budget)
 	}
 }
 
@@ -85,10 +86,10 @@ func TestSequentialScratchMatchesSequential(t *testing.T) {
 	T := TightRounds(g.M())
 	ctx := context.Background()
 
-	ref := p.Sequential(T, nil, rng.New(99))
+	ref := sequential(t, p, T, nil, rng.New(99))
 	ar := new(scratch.Arena)
 	for trial := 0; trial < 3; trial++ {
-		got, err := p.SequentialScratch(ctx, T, nil, rng.New(99), ar)
+		got, err := NewView[float64](p).Sequential(ctx, T, nil, rng.New(99), ar, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func (p *Problem) CheckDualFeasible(d Dual) error {
 // y_v = 1 iff Σ_{e∈E(v)} x_e ≥ α·b_v, z_e = 1 iff x_e ≥ α·r_e. The result
 // is feasible whenever x is α-tight, and its objective equals DualBound.
 func (p *Problem) DualFromTight(x []float64, alpha float64) Dual {
-	ys := p.VertexSums(x)
+	ys := NewView[float64](p).VertexSums(make([]float64, p.G.N), x, 0)
 	d := Dual{Y: make([]float64, p.G.N), Z: make([]float64, p.G.M())}
 	for v := 0; v < p.G.N; v++ {
 		if ys[v] >= alpha*p.B[v] {

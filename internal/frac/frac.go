@@ -68,30 +68,12 @@ func BMatchingProblem(g *graph.Graph, b graph.Budgets) *Problem {
 	return p
 }
 
-// VertexSums returns y with y[v] = Σ_{e∈E(v)} x_e.
-func (p *Problem) VertexSums(x []float64) []float64 {
-	return p.VertexSumsInto(make([]float64, p.G.N), x)
-}
-
-// VertexSumsInto is VertexSums writing into dst (len n), the
-// allocation-free variant for callers that reuse a scratch buffer across
-// rounds. It returns dst. The sums are computed by the blocked CSR gather
-// (kernels.go) on a GOMAXPROCS-wide pool; results are bit-identical to the
-// serial edge sweep for every worker count.
-func (p *Problem) VertexSumsInto(dst []float64, x []float64) []float64 {
-	return p.VertexSumsIntoWorkers(dst, x, 0)
-}
-
-// VertexSumsIntoWorkers is VertexSumsInto with an explicit worker-pool
-// width (0 = GOMAXPROCS). Results are identical for every width.
-func (p *Problem) VertexSumsIntoWorkers(dst []float64, x []float64, workers int) []float64 {
-	return p.view64().VertexSumsIntoWorkers(dst, x, workers)
-}
-
-// VertexSumsIntoWorkers is the value-mode variant: x is V-typed, the sums
-// accumulate (and are returned) in float64. Results are identical for every
-// worker-pool width.
-func (w View[V]) VertexSumsIntoWorkers(dst []float64, x []V, workers int) []float64 {
+// VertexSums writes y[v] = Σ_{e∈E(v)} x_e into dst (len n) and returns it.
+// x is V-typed; the sums accumulate (and are returned) in float64. The
+// blocked CSR gather (kernels.go) runs on a pool of workers goroutines
+// (0 = GOMAXPROCS), and the sums are bit-identical to the serial edge sweep
+// for every width.
+func (w View[V]) VertexSums(dst []float64, x []V, workers int) []float64 {
 	ar, done := scratch.Borrow(nil)
 	defer done()
 	w.vertexSumsGather(dst, x, workers, vertexBlocksScratch(w.p.G, vertexWorkGrain, ar))
@@ -107,78 +89,31 @@ func Value(x []float64) float64 {
 	return s
 }
 
-// VLoose returns the indicator of V_loose(x, α) = {v : Σ_{e∈E(v)} x_e < α·b_v}
-// (Definition 3.2).
-func (p *Problem) VLoose(x []float64, alpha float64) []bool {
-	return p.VLooseInto(make([]bool, p.G.N), make([]float64, p.G.N), x, alpha)
-}
-
-// VLooseInto is VLoose writing the indicator into dst (len n), using y
-// (len n) as vertex-sum scratch. It returns dst. The sum and the indicator
-// are fused into one CSR walk (kernels.go); results are bit-identical to
-// the two-pass form for every worker count.
-func (p *Problem) VLooseInto(dst []bool, y []float64, x []float64, alpha float64) []bool {
-	return p.VLooseIntoWorkers(dst, y, x, alpha, 0)
-}
-
-// VLooseIntoWorkers is VLooseInto with an explicit worker-pool width
-// (0 = GOMAXPROCS). Results are identical for every width.
-func (p *Problem) VLooseIntoWorkers(dst []bool, y []float64, x []float64, alpha float64, workers int) []bool {
-	return p.view64().VLooseIntoWorkers(dst, y, x, alpha, workers)
-}
-
-// VLooseIntoWorkers is the value-mode variant of the fused looseness
-// kernel; the indicator compares the float64 sum, y stores it rounded to V.
-func (w View[V]) VLooseIntoWorkers(dst []bool, y []V, x []V, alpha float64, workers int) []bool {
+// VLoose writes the indicator of V_loose(x, α) =
+// {v : Σ_{e∈E(v)} x_e < α·b_v} (Definition 3.2) into dst (len n), using y
+// (len n) as vertex-sum scratch, and returns dst. The sum and the
+// indicator are fused into one CSR walk (kernels.go); the indicator
+// compares the float64 sum, y stores it rounded to V. Results are
+// bit-identical to the two-pass form for every worker count
+// (0 = GOMAXPROCS).
+func (w View[V]) VLoose(dst []bool, y []V, x []V, alpha float64, workers int) []bool {
 	ar, done := scratch.Borrow(nil)
 	defer done()
 	w.vLooseGather(dst, y, x, alpha, workers, vertexBlocksScratch(w.p.G, vertexWorkGrain, ar))
 	return dst
 }
 
-// ELoose returns the edge ids in E_loose(x, α): edges with x_e < α·r_e whose
-// both endpoints are in V_loose(x, α) (Definition 3.2). The indicator and
-// the edge filter run as fused blocked passes; the returned ids are in
-// ascending order, exactly as the serial filter emitted them.
-func (p *Problem) ELoose(x []float64, alpha float64) []int32 {
-	return p.ELooseWorkers(x, alpha, 0)
-}
-
-// ELooseWorkers is ELoose with an explicit worker-pool width
-// (0 = GOMAXPROCS). Results are identical for every width.
-func (p *Problem) ELooseWorkers(x []float64, alpha float64, workers int) []int32 {
-	return p.view64().eLooseWorkers(x, alpha, workers)
-}
-
-// ELooseWorkers is the value-mode variant; the loose-edge ids come back in
-// the same ascending order for every value type and worker count.
-func (w View[V]) ELooseWorkers(x []V, alpha float64, workers int) []int32 {
-	return w.eLooseWorkers(x, alpha, workers)
-}
-
-// InitialValuesWorkers is the value-mode blocked initialization, allocating
-// its result and scratch (benchmark/test entry point; drivers use the
-// arena-backed kernel directly).
-func (w View[V]) InitialValuesWorkers(avgDeg float64, workers int) []V {
-	return w.initialValuesWorkers(make([]V, w.p.G.M()), make([]float64, w.p.G.N), avgDeg, workers)
-}
-
 // IsTight reports whether x is α-tight: E_loose(x, α) = ∅.
 func (p *Problem) IsTight(x []float64, alpha float64) bool {
-	return len(p.ELoose(x, alpha)) == 0
+	return len(NewView[float64](p).ELoose(x, alpha, 0)) == 0
 }
 
-// CheckFeasible verifies 0 ≤ x_e ≤ r_e and Σ_{e∈E(v)} x_e ≤ b_v, with a
-// small relative tolerance for floating-point accumulation.
-func (p *Problem) CheckFeasible(x []float64) error {
-	return p.CheckFeasibleTol(x, 1e-9)
-}
-
-// CheckFeasibleTol is CheckFeasible with an explicit relative tolerance.
-// The f64 drivers keep the historical 1e-9; the float32 value mode needs a
-// wider one (~1e-6): per-edge stores round to float32, so a vertex sum can
-// exceed b_v by up to ~deg·ulp(x̄) ≈ 2⁻²³·Σx even though every rounding is
-// individually clamped to its edge capacity.
+// CheckFeasibleTol verifies 0 ≤ x_e ≤ r_e and Σ_{e∈E(v)} x_e ≤ b_v up to
+// the relative tolerance tol for floating-point accumulation. The f64
+// drivers use 1e-9; the float32 value mode needs a wider one (~1e-6):
+// per-edge stores round to float32, so a vertex sum can exceed b_v by up
+// to ~deg·ulp(x̄) ≈ 2⁻²³·Σx even though every rounding is individually
+// clamped to its edge capacity.
 func (p *Problem) CheckFeasibleTol(x []float64, tol float64) error {
 	if len(x) != p.G.M() {
 		return fmt.Errorf("frac: |x| = %d, want m = %d", len(x), p.G.M())
@@ -188,7 +123,7 @@ func (p *Problem) CheckFeasibleTol(x []float64, tol float64) error {
 			return fmt.Errorf("frac: x[%d] = %v violates [0, r=%v]", e, xe, p.R[e])
 		}
 	}
-	y := p.VertexSums(x)
+	y := NewView[float64](p).VertexSums(make([]float64, p.G.N), x, 0)
 	for v := range y {
 		if y[v] > p.B[v]*(1+tol)+tol {
 			return fmt.Errorf("frac: vertex %d sum %v > b = %v", v, y[v], p.B[v])
@@ -204,7 +139,7 @@ func (p *Problem) CheckFeasibleTol(x []float64, tol float64) error {
 // a certified upper bound on the LP optimum (hence on the maximum
 // b-matching size when r ≡ 1).
 func (p *Problem) DualBound(x []float64, alpha float64) float64 {
-	y := p.VertexSums(x)
+	y := NewView[float64](p).VertexSums(make([]float64, p.G.N), x, 0)
 	var bound float64
 	for v := 0; v < p.G.N; v++ {
 		if y[v] >= alpha*p.B[v] {
@@ -219,52 +154,13 @@ func (p *Problem) DualBound(x []float64, alpha float64) float64 {
 	return bound
 }
 
-// InitialValues returns x_{e,0} = min(r_e, q_v, q_u) with
-// q_v = 0.8·b_v / max(|E(v)|, d̄) — the initialization of Algorithm 1 that
-// both balances validity and keeps per-edge influence small (Section 1.4).
-// avgDeg is d̄ of the graph the process runs on.
-func (p *Problem) InitialValues(avgDeg float64) []float64 {
-	return p.InitialValuesInto(make([]float64, p.G.M()), make([]float64, p.G.N), avgDeg)
-}
-
-// InitialValuesIntoWorkers is InitialValuesWorkers writing into dst
-// (len m) with q (len n) as per-vertex scratch: the q table builds in
-// float64, the edge pass stores in V (with a native float32 fast path).
-// The scaling benchmarks drive it directly to time the kernel without
-// allocation.
-func (w View[V]) InitialValuesIntoWorkers(dst []V, q []float64, avgDeg float64, workers int) []V {
-	return w.initialValuesWorkers(dst, q, avgDeg, workers)
-}
-
-// InitialValuesInto is InitialValues writing into dst (len m), using q
-// (len n) as per-vertex scratch. It returns dst.
-func (p *Problem) InitialValuesInto(dst, q []float64, avgDeg float64) []float64 {
-	for v := 0; v < p.G.N; v++ {
-		den := math.Max(float64(p.G.Deg(int32(v))), avgDeg)
-		if den <= 0 {
-			q[v] = 0
-			continue
-		}
-		q[v] = 0.8 * p.B[v] / den
-	}
-	for e := range p.G.Edges {
-		ed := p.G.Edges[e]
-		dst[e] = math.Min(p.R[e], math.Min(q[ed.U], q[ed.V]))
-	}
-	return dst
-}
-
 // InitialValuesUnclamped returns the ablated initialization
 // q_v = 0.8·b_v/deg(v) (no max(d̄, ·) clamp). Still a valid fractional
 // b-matching, but low-degree vertices get edge values large enough to wreck
 // the round-compression estimates (Section 1.4); experiment E10 quantifies
 // the difference.
 func (p *Problem) InitialValuesUnclamped() []float64 {
-	return p.initialValuesUnclampedInto(make([]float64, p.G.M()), make([]float64, p.G.N))
-}
-
-func (p *Problem) initialValuesUnclampedInto(dst, q []float64) []float64 {
-	return p.view64().initialValuesUnclampedInto(dst, q)
+	return NewView[float64](p).initialValuesUnclampedInto(make([]float64, p.G.M()), make([]float64, p.G.N))
 }
 
 func (w View[V]) initialValuesUnclampedInto(dst []V, q []float64) []V {
@@ -338,58 +234,23 @@ func FixedThresholds(p *Problem, c float64) ThresholdFn {
 }
 
 // Sequential runs Algorithm 1 for T rounds and returns the resulting
-// fractional solution x. thresholds may be nil, in which case a fresh
-// threshold table is drawn from r.
+// fractional solution x, with the working vectors in V precision.
+// thresholds may be nil, in which case a fresh threshold table is drawn
+// from r.
 //
 // By Lemma 3.4 the result is LP-feasible with Σ_{e∈E(v)} x_e ≤ 0.8·b_v, and
 // by Lemma 3.5 |E_loose(x, 0.2)| ≤ 5|E|/2^T.
-func (p *Problem) Sequential(T int, thresholds ThresholdFn, r *rng.RNG) []float64 {
-	x, err := p.SequentialCtx(context.Background(), T, thresholds, r)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return x
-}
-
-// SequentialWorkers is Sequential with an explicit worker-pool width for
-// the blocked round kernels (0 = GOMAXPROCS). The solution is bit-identical
-// for every width.
-func (p *Problem) SequentialWorkers(T int, thresholds ThresholdFn, r *rng.RNG, workers int) []float64 {
-	x := make([]float64, p.G.M())
-	//lint:context convenience entry point like Sequential: the background context never cancels
-	if err := p.sequentialInto(context.Background(), x, T, thresholds, r, nil, workers); err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return x
-}
-
-// SequentialCtx is Sequential with cooperative cancellation: ctx is checked
-// at every round boundary, and a cancelled run returns ctx's error with no
-// partial solution. A completed run is bit-identical to Sequential with the
-// same inputs.
-func (p *Problem) SequentialCtx(ctx context.Context, T int, thresholds ThresholdFn, r *rng.RNG) ([]float64, error) {
-	return p.SequentialScratch(ctx, T, thresholds, r, nil)
-}
-
-// SequentialScratch is SequentialCtx drawing its round-local buffers
-// (threshold table, activity mask, vertex sums) from ar, so a warmed
-// long-lived caller runs rounds allocation-free; ar == nil borrows a pooled
-// arena. Only the returned solution is heap-allocated. The result is
-// bit-identical to SequentialCtx for every arena (and across arena reuse).
-func (p *Problem) SequentialScratch(ctx context.Context, T int, thresholds ThresholdFn, r *rng.RNG, ar *scratch.Arena) ([]float64, error) {
-	x := make([]float64, p.G.M())
-	if err := p.sequentialInto(ctx, x, T, thresholds, r, ar, 0); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SequentialScratch is the value-mode sequential driver: Algorithm 1 with
-// the working vectors in V precision. Like the float64 form it is
-// bit-identical for every worker count and arena.
-func (w View[V]) SequentialScratch(ctx context.Context, T int, thresholds ThresholdFn, r *rng.RNG, ar *scratch.Arena) ([]V, error) {
+//
+// ctx is checked at every round boundary, and a cancelled run returns
+// ctx's error with no partial solution. The round-local buffers (threshold
+// table, activity mask, vertex sums) come from ar, so a warmed long-lived
+// caller runs rounds allocation-free; ar == nil borrows a pooled arena.
+// Only the returned solution is heap-allocated. The blocked round kernels
+// run on a pool of workers goroutines (0 = GOMAXPROCS). The solution is
+// bit-identical for every worker count and arena (and across arena reuse).
+func (w View[V]) Sequential(ctx context.Context, T int, thresholds ThresholdFn, r *rng.RNG, ar *scratch.Arena, workers int) ([]V, error) {
 	x := make([]V, w.p.G.M())
-	if err := sequentialInto(ctx, w, x, T, thresholds, r, ar, 0); err != nil {
+	if err := sequentialInto(ctx, w, x, T, thresholds, r, ar, workers); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -403,14 +264,9 @@ func (w View[V]) SequentialScratch(ctx context.Context, T int, thresholds Thresh
 // the still-active edges. Per-vertex sums fold in CSR (ascending edge id)
 // order — the same additions in the same order as the serial edge sweep —
 // so the solution is bit-identical for every worker count and grain.
-func (p *Problem) sequentialInto(ctx context.Context, x []float64, T int, thresholds ThresholdFn, r *rng.RNG, ar *scratch.Arena, workers int) error {
-	return sequentialInto(ctx, p.view64(), x, T, thresholds, r, ar, workers)
-}
-
-// sequentialInto is the generic Algorithm 1 core. Per-vertex sums
-// accumulate in float64 whatever V is (the threshold comparison needs full
-// precision); doubling a V value is exact in either type, so the float32
-// mode rounds only at initialization.
+// Per-vertex sums accumulate in float64 whatever V is (the threshold
+// comparison needs full precision); doubling a V value is exact in either
+// type, so the float32 mode rounds only at initialization.
 func sequentialInto[V Val](ctx context.Context, w View[V], x []V, T int, thresholds ThresholdFn, r *rng.RNG, ar *scratch.Arena, workers int) error {
 	ar, done := scratch.Borrow(ar)
 	defer done()
@@ -419,7 +275,7 @@ func sequentialInto[V Val](ctx context.Context, w View[V], x []V, T int, thresho
 		thresholds = newThresholdsScratch[V](p, T, r, ar)
 	}
 	g := p.G
-	w.initialValuesWorkers(x, ar.F64Raw(g.N), g.AvgDeg(), workers)
+	w.InitialValues(x, ar.F64Raw(g.N), g.AvgDeg(), workers)
 	active := ar.BoolRaw(g.N) // V_t^active
 	for v := range active {
 		active[v] = true

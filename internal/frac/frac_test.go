@@ -1,6 +1,7 @@
 package frac
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,48 @@ func gnmProblem(n, m, b int, seed int64) *Problem {
 	r := rng.New(seed)
 	g := graph.Gnm(n, m, r)
 	return BMatchingProblem(g, graph.UniformBudgets(n, b))
+}
+
+// The helpers below drive the f64 entry points with a background context,
+// a pooled arena and the default pool width.
+
+func sequential(tb testing.TB, p *Problem, T int, thresholds ThresholdFn, r *rng.RNG) []float64 {
+	tb.Helper()
+	x, err := NewView[float64](p).Sequential(context.Background(), T, thresholds, r, nil, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
+}
+
+func oneRoundRun(tb testing.TB, p *Problem, params MPCParams, thresholds ThresholdFn, r *rng.RNG) *OneRoundResult {
+	tb.Helper()
+	res, err := p.OneRoundMPCCtx(context.Background(), params, thresholds, r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+func fullMPCRun(tb testing.TB, p *Problem, params MPCParams, r *rng.RNG) *FullResult {
+	tb.Helper()
+	res, err := p.FullMPCCtx(context.Background(), params, r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+func vertexSums(p *Problem, x []float64) []float64 {
+	return NewView[float64](p).VertexSums(make([]float64, p.G.N), x, 0)
+}
+
+func eLoose(p *Problem, x []float64, alpha float64) []int32 {
+	return NewView[float64](p).ELoose(x, alpha, 0)
+}
+
+func initialValues(p *Problem, avgDeg float64) []float64 {
+	return NewView[float64](p).InitialValues(make([]float64, p.G.M()), make([]float64, p.G.N), avgDeg, 0)
 }
 
 func TestNewProblemValidation(t *testing.T) {
@@ -32,12 +75,12 @@ func TestNewProblemValidation(t *testing.T) {
 
 func TestInitialValuesFeasibleAndBounded(t *testing.T) {
 	p := gnmProblem(100, 800, 3, 2)
-	x := p.InitialValues(p.G.AvgDeg())
-	if err := p.CheckFeasible(x); err != nil {
+	x := initialValues(p, p.G.AvgDeg())
+	if err := p.CheckFeasibleTol(x, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	// Lemma 3.4 base case: Σ_{e∈E(v)} x_{e,0} ≤ 0.8·b_v.
-	y := p.VertexSums(x)
+	y := vertexSums(p, x)
 	for v := range y {
 		if y[v] > 0.8*p.B[v]+1e-9 {
 			t.Fatalf("vertex %d initial sum %v > 0.8b = %v", v, y[v], 0.8*p.B[v])
@@ -50,11 +93,11 @@ func TestSequentialLemma34(t *testing.T) {
 	p := gnmProblem(80, 500, 2, 3)
 	r := rng.New(4)
 	for _, T := range []int{0, 1, 3, 7, 15} {
-		x := p.Sequential(T, nil, r.Split())
-		if err := p.CheckFeasible(x); err != nil {
+		x := sequential(t, p, T, nil, r.Split())
+		if err := p.CheckFeasibleTol(x, 1e-9); err != nil {
 			t.Fatalf("T=%d: %v", T, err)
 		}
-		y := p.VertexSums(x)
+		y := vertexSums(p, x)
 		for v := range y {
 			if y[v] > 0.8*p.B[v]+1e-9 {
 				t.Fatalf("T=%d vertex %d: sum %v > 0.8b", T, v, y[v])
@@ -73,8 +116,8 @@ func TestSequentialLemma35Decay(t *testing.T) {
 	p := gnmProblem(200, 2000, 2, 5)
 	r := rng.New(6)
 	for _, T := range []int{0, 2, 4, 6, 8, 10, 12} {
-		x := p.Sequential(T, nil, r.Split())
-		loose := len(p.ELoose(x, 0.2))
+		x := sequential(t, p, T, nil, r.Split())
+		loose := len(eLoose(p, x, 0.2))
 		bound := 5 * float64(p.G.M()) / math.Pow(2, float64(T))
 		if float64(loose) > bound {
 			t.Fatalf("T=%d: |E_loose| = %d > bound %v", T, loose, bound)
@@ -86,11 +129,11 @@ func TestSequentialLemma35Decay(t *testing.T) {
 func TestSequentialTheorem36Tight(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		p := gnmProblem(60, 400, 2, 10+seed)
-		x := p.Sequential(TightRounds(p.G.M()), nil, rng.New(seed))
+		x := sequential(t, p, TightRounds(p.G.M()), nil, rng.New(seed))
 		if !p.IsTight(x, 0.2) {
 			t.Fatalf("seed %d: not 0.2-tight after TightRounds", seed)
 		}
-		if err := p.CheckFeasible(x); err != nil {
+		if err := p.CheckFeasibleTol(x, 1e-9); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,8 +156,8 @@ func TestSequentialGeneralCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := p.Sequential(TightRounds(g.M()), nil, r.Split())
-	if err := p.CheckFeasible(x); err != nil {
+	x := sequential(t, p, TightRounds(g.M()), nil, r.Split())
+	if err := p.CheckFeasibleTol(x, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	if !p.IsTight(x, 0.2) {
@@ -127,7 +170,7 @@ func TestSequentialGeneralCapacities(t *testing.T) {
 func TestDualBoundCharging(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		p := gnmProblem(60, 350, 2, 30+seed)
-		x := p.Sequential(TightRounds(p.G.M()), nil, rng.New(seed))
+		x := sequential(t, p, TightRounds(p.G.M()), nil, rng.New(seed))
 		const alpha = 0.2
 		if !p.IsTight(x, alpha) {
 			t.Fatal("precondition failed")
@@ -144,12 +187,12 @@ func TestVLooseELooseDefinitions(t *testing.T) {
 	g := graph.MustNew(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
 	p := BMatchingProblem(g, graph.UniformBudgets(3, 1))
 	x := []float64{0.5, 0.0}
-	vl := p.VLoose(x, 0.2)
+	vl := NewView[float64](p).VLoose(make([]bool, 3), make([]float64, 3), x, 0.2, 0)
 	// y = [0.5, 0.5, 0]; αb = 0.2 — vertex 2 loose only.
 	if vl[0] || vl[1] || !vl[2] {
 		t.Fatalf("VLoose = %v", vl)
 	}
-	el := p.ELoose(x, 0.2)
+	el := eLoose(p, x, 0.2)
 	// Edge 1 has x=0 < 0.2 but vertex 1 is not loose → no loose edges.
 	if len(el) != 0 {
 		t.Fatalf("ELoose = %v, want empty", el)
@@ -175,8 +218,8 @@ func TestThresholdsWithinInterval(t *testing.T) {
 
 func TestOneRoundMPCFeasible(t *testing.T) {
 	p := gnmProblem(200, 3000, 2, 50)
-	res := p.OneRoundMPC(PracticalParams(), nil, rng.New(7))
-	if err := p.CheckFeasible(res.X); err != nil {
+	res := oneRoundRun(t, p, PracticalParams(), nil, rng.New(7))
+	if err := p.CheckFeasibleTol(res.X, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	if res.N != int(math.Ceil(math.Sqrt(p.G.AvgDeg()))) {
@@ -194,14 +237,14 @@ func TestOneRoundMPCPaperModeTZero(t *testing.T) {
 	// With the paper's divisor 1000 and laptop-scale N, T = 0: the output
 	// must equal the (feasibility-filtered) initialization and be feasible.
 	p := gnmProblem(100, 1000, 2, 60)
-	res := p.OneRoundMPC(PaperParams(), nil, rng.New(8))
+	res := oneRoundRun(t, p, PaperParams(), nil, rng.New(8))
 	if res.T != 0 {
 		t.Fatalf("paper-mode T = %d at this scale, want 0", res.T)
 	}
-	if err := p.CheckFeasible(res.X); err != nil {
+	if err := p.CheckFeasibleTol(res.X, 1e-9); err != nil {
 		t.Fatal(err)
 	}
-	x0 := p.InitialValues(p.G.AvgDeg())
+	x0 := initialValues(p, p.G.AvgDeg())
 	for e := range res.X {
 		if res.X[e] != 0 && math.Abs(res.X[e]-x0[e]) > 1e-12 {
 			t.Fatalf("edge %d: %v not in {0, x0=%v}", e, res.X[e], x0[e])
@@ -217,10 +260,10 @@ func TestCouplingEstimateQuality(t *testing.T) {
 	T := PracticalParams().pickT(int(math.Ceil(math.Sqrt(p.G.AvgDeg()))))
 	r := rng.New(9)
 	th := NewThresholds(p, T+1, r.Split())
-	xSeq := p.Sequential(T, th, r.Split())
-	res := p.OneRoundMPC(PracticalParams(), th, r.Split())
-	ySeq := p.VertexSums(xSeq)
-	yMPC := p.VertexSums(res.X)
+	xSeq := sequential(t, p, T, th, r.Split())
+	res := oneRoundRun(t, p, PracticalParams(), th, r.Split())
+	ySeq := vertexSums(p, xSeq)
+	yMPC := vertexSums(p, res.X)
 	big := 0
 	for v := 0; v < p.G.N; v++ {
 		if math.Abs(ySeq[v]-yMPC[v]) > 0.5*p.B[v] {
@@ -235,11 +278,11 @@ func TestCouplingEstimateQuality(t *testing.T) {
 func TestFullMPCTightAndFeasible(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		p := gnmProblem(150, 2500, 2, 80+seed)
-		res := p.FullMPC(PracticalParams(), rng.New(seed))
+		res := fullMPCRun(t, p, PracticalParams(), rng.New(seed))
 		if !res.Converged {
 			t.Fatalf("seed %d: did not converge", seed)
 		}
-		if err := p.CheckFeasible(res.X); err != nil {
+		if err := p.CheckFeasibleTol(res.X, 1e-9); err != nil {
 			t.Fatal(err)
 		}
 		if !p.IsTight(res.X, 0.05) {
@@ -254,7 +297,7 @@ func TestFullMPCTightAndFeasible(t *testing.T) {
 func TestFullMPCEmptyGraph(t *testing.T) {
 	g := graph.MustNew(5, nil)
 	p := BMatchingProblem(g, graph.UniformBudgets(5, 2))
-	res := p.FullMPC(PracticalParams(), rng.New(1))
+	res := fullMPCRun(t, p, PracticalParams(), rng.New(1))
 	if !res.Converged || res.Iterations != 0 {
 		t.Fatal("empty graph should converge immediately")
 	}
@@ -264,7 +307,7 @@ func TestFullMPCValueWithinConstantOfOPT(t *testing.T) {
 	// Σx vs the dual certificate: 0.05-tight gives Σx ≥ (0.05/3)·OPT; in
 	// practice the ratio is far better — assert the proven bound.
 	p := gnmProblem(120, 1500, 3, 90)
-	res := p.FullMPC(PracticalParams(), rng.New(2))
+	res := fullMPCRun(t, p, PracticalParams(), rng.New(2))
 	val := Value(res.X)
 	bound := p.DualBound(res.X, 0.05)
 	if val < 0.05/3*bound-1e-9 {
@@ -294,8 +337,8 @@ func TestSequentialFeasibleProperty(t *testing.T) {
 		g := graph.Gnm(n, m, r.Split())
 		b := graph.RandomBudgets(n, 1, 4, r.Split())
 		p := BMatchingProblem(g, b)
-		x := p.Sequential(8, nil, r.Split())
-		return p.CheckFeasible(x) == nil
+		x := sequential(t, p, 8, nil, r.Split())
+		return p.CheckFeasibleTol(x, 1e-9) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -309,8 +352,8 @@ func TestOneRoundMPCFeasibleProperty(t *testing.T) {
 		g := graph.Gnm(60, 600, r.Split())
 		b := graph.RandomBudgets(60, 1, 3, r.Split())
 		p := BMatchingProblem(g, b)
-		res := p.OneRoundMPC(PracticalParams(), nil, r.Split())
-		return p.CheckFeasible(res.X) == nil
+		res := oneRoundRun(t, p, PracticalParams(), nil, r.Split())
+		return p.CheckFeasibleTol(res.X, 1e-9) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -319,8 +362,8 @@ func TestOneRoundMPCFeasibleProperty(t *testing.T) {
 
 func TestOneRoundMPCDeterministicGivenSeed(t *testing.T) {
 	p := gnmProblem(100, 1200, 2, 91)
-	a := p.OneRoundMPC(PracticalParams(), nil, rng.New(5))
-	b := p.OneRoundMPC(PracticalParams(), nil, rng.New(5))
+	a := oneRoundRun(t, p, PracticalParams(), nil, rng.New(5))
+	b := oneRoundRun(t, p, PracticalParams(), nil, rng.New(5))
 	for e := range a.X {
 		if a.X[e] != b.X[e] {
 			t.Fatalf("nondeterministic at edge %d: %v vs %v", e, a.X[e], b.X[e])

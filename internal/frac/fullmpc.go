@@ -41,24 +41,16 @@ type FullResult struct {
 	SimStats mpc.Stats
 }
 
-// FullMPC runs Algorithm 3 and returns the accumulated fractional solution
-// together with the round/memory measurements. On return, if Converged is
-// true the solution is 0.05-tight (Lemma 3.15).
-func (p *Problem) FullMPC(params MPCParams, r *rng.RNG) *FullResult {
-	res, err := p.FullMPCCtx(context.Background(), params, r)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return res
-}
-
-// FullMPCCtx is FullMPC with cooperative cancellation: ctx is checked at
-// every while-loop iteration (and, inside each compression step, at every
-// simulator superstep boundary), so a cancelled solve aborts within one
-// round of work and returns ctx's error with no partial solution. A
-// completed run is bit-identical to FullMPC with the same inputs.
-// params.Values selects the value mode the driver instantiates; the
-// returned X is always float64 (an exact conversion from float32).
+// FullMPCCtx runs Algorithm 3 and returns the accumulated fractional
+// solution together with the round/memory measurements. On return, if
+// Converged is true the solution is 0.05-tight (Lemma 3.15).
+//
+// ctx is checked at every while-loop iteration (and, inside each
+// compression step, at every simulator superstep boundary), so a cancelled
+// solve aborts within one round of work and returns ctx's error with no
+// partial solution. params.Values selects the value mode the driver
+// instantiates; the returned X is always float64 (an exact conversion from
+// float32).
 func (p *Problem) FullMPCCtx(ctx context.Context, params MPCParams, r *rng.RNG) (*FullResult, error) {
 	if params.Values == ValuesF32 {
 		return fullMPC[float32](ctx, p, params, r)

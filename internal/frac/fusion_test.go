@@ -1,6 +1,7 @@
 package frac
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -168,6 +169,7 @@ func randomX(p *Problem, seed int64) []float64 {
 func TestFusedKernelsBitIdentical(t *testing.T) {
 	const alpha = 0.2
 	for name, p := range fusionInstances(t) {
+		w := NewView[float64](p)
 		x := randomX(p, 99)
 		wantSums := refVertexSums(p, x)
 		wantVL := refVLoose(p, x, alpha)
@@ -178,14 +180,14 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/grain=%d/workers=%d", name, grain, workers), func(t *testing.T) {
 					setKernelGrains(t, grain)
 
-					gotSums := p.VertexSumsIntoWorkers(make([]float64, p.G.N), x, workers)
+					gotSums := w.VertexSums(make([]float64, p.G.N), x, workers)
 					if i, ok := bitsEqual(wantSums, gotSums); !ok {
 						t.Errorf("VertexSums diverges at v=%d: ref %x fused %x",
 							i, math.Float64bits(wantSums[i]), math.Float64bits(gotSums[i]))
 					}
 
 					y := make([]float64, p.G.N)
-					gotVL := p.VLooseIntoWorkers(make([]bool, p.G.N), y, x, alpha, workers)
+					gotVL := w.VLoose(make([]bool, p.G.N), y, x, alpha, workers)
 					for v := range wantVL {
 						if wantVL[v] != gotVL[v] {
 							t.Errorf("VLoose diverges at v=%d: ref %v fused %v", v, wantVL[v], gotVL[v])
@@ -196,7 +198,7 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 						t.Errorf("VLoose y scratch diverges at v=%d", i)
 					}
 
-					gotEL := p.ELooseWorkers(x, alpha, workers)
+					gotEL := w.ELoose(x, alpha, workers)
 					if len(gotEL) != len(wantEL) {
 						t.Fatalf("ELoose: ref %d edges, fused %d", len(wantEL), len(gotEL))
 					}
@@ -207,7 +209,7 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 						}
 					}
 
-					gotInit := p.initialValuesWorkers(make([]float64, p.G.M()), make([]float64, p.G.N), p.G.AvgDeg(), workers)
+					gotInit := w.InitialValues(make([]float64, p.G.M()), make([]float64, p.G.N), p.G.AvgDeg(), workers)
 					if i, ok := bitsEqual(wantInit, gotInit); !ok {
 						t.Errorf("InitialValues diverges at e=%d", i)
 					}
@@ -226,7 +228,10 @@ func TestFusedSequentialBitIdentical(t *testing.T) {
 			for _, workers := range fusionWorkers {
 				t.Run(fmt.Sprintf("%s/grain=%d/workers=%d", name, grain, workers), func(t *testing.T) {
 					setKernelGrains(t, grain)
-					got := p.SequentialWorkers(T, thresholds, nil, workers)
+					got, err := NewView[float64](p).Sequential(context.Background(), T, thresholds, nil, nil, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if i, ok := bitsEqual(want, got); !ok {
 						t.Errorf("Sequential diverges at e=%d: ref %x fused %x",
 							i, math.Float64bits(want[i]), math.Float64bits(got[i]))
@@ -252,7 +257,7 @@ func TestFusedOneRoundMPCAcrossWorkersAndGrains(t *testing.T) {
 	thresholds := NewThresholds(p, T+1, rng.New(11))
 	run := func(workers int) *OneRoundResult {
 		params.Workers = workers
-		return p.OneRoundMPC(params, thresholds, rng.New(5))
+		return oneRoundRun(t, p, params, thresholds, rng.New(5))
 	}
 	want := run(1)
 	for _, grain := range []int{64, 0} {

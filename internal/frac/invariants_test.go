@@ -12,9 +12,9 @@ import (
 // Lemma 3.7 shape: values never exceed their initialization times 2^T.
 func TestValueGrowthBoundedByDoubling(t *testing.T) {
 	p := gnmProblem(100, 900, 2, 400)
-	x0 := p.InitialValues(p.G.AvgDeg())
+	x0 := initialValues(p, p.G.AvgDeg())
 	for _, T := range []int{1, 4, 8} {
-		x := p.Sequential(T, nil, rng.New(int64(T)))
+		x := sequential(t, p, T, nil, rng.New(int64(T)))
 		for e := range x {
 			if x[e] > x0[e]*math.Pow(2, float64(T))+1e-12 {
 				t.Fatalf("T=%d edge %d: %v exceeds x0·2^T = %v", T, e, x[e], x0[e]*math.Pow(2, float64(T)))
@@ -33,8 +33,8 @@ func TestLooseSetShrinksWithRounds(t *testing.T) {
 	th := NewThresholds(p, 20, r.Split())
 	prev := math.MaxInt
 	for _, T := range []int{0, 3, 6, 9, 12, 15} {
-		x := p.Sequential(T, th, r.Split())
-		loose := len(p.ELoose(x, 0.2))
+		x := sequential(t, p, T, th, r.Split())
+		loose := len(eLoose(p, x, 0.2))
 		if loose > prev {
 			t.Fatalf("T=%d: loose set grew from %d to %d", T, prev, loose)
 		}
@@ -48,9 +48,9 @@ func TestLoosenessMonotoneInAlpha(t *testing.T) {
 		r := rng.New(seed)
 		g := graph.Gnm(30, 100, r.Split())
 		p := BMatchingProblem(g, graph.RandomBudgets(30, 1, 3, r.Split()))
-		x := p.Sequential(4, nil, r.Split())
-		lo := len(p.ELoose(x, 0.05))
-		hi := len(p.ELoose(x, 0.2))
+		x := sequential(t, p, 4, nil, r.Split())
+		lo := len(eLoose(p, x, 0.05))
+		hi := len(eLoose(p, x, 0.2))
 		return lo <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -61,7 +61,7 @@ func TestLoosenessMonotoneInAlpha(t *testing.T) {
 func TestInitialValuesUnclampedLarger(t *testing.T) {
 	// Without the clamp, low-degree vertices get values at least as large.
 	p := gnmProblem(100, 2000, 2, 402) // d̄ = 40
-	a := p.InitialValues(p.G.AvgDeg())
+	a := initialValues(p, p.G.AvgDeg())
 	b := p.InitialValuesUnclamped()
 	for e := range a {
 		if b[e] < a[e]-1e-12 {
@@ -80,7 +80,7 @@ func TestInitialValuesUnclampedLarger(t *testing.T) {
 		t.Fatal("unclamped init identical to clamped — test instance degenerate")
 	}
 	// Still feasible.
-	if err := p.CheckFeasible(b); err != nil {
+	if err := p.CheckFeasibleTol(b, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +97,7 @@ func TestOneRoundMPCZeroBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.OneRoundMPC(PracticalParams(), nil, r.Split())
+	res := oneRoundRun(t, p, PracticalParams(), nil, r.Split())
 	for e, xe := range res.X {
 		if xe != 0 {
 			t.Fatalf("zero budgets produced x[%d] = %v", e, xe)
@@ -110,11 +110,11 @@ func TestFullMPCIsolatedVertices(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}
 	g := graph.MustNew(10, edges)
 	p := BMatchingProblem(g, graph.UniformBudgets(10, 1))
-	res := p.FullMPC(PracticalParams(), rng.New(9))
+	res := fullMPCRun(t, p, PracticalParams(), rng.New(9))
 	if !res.Converged {
 		t.Fatal("did not converge with isolated vertices")
 	}
-	if err := p.CheckFeasible(res.X); err != nil {
+	if err := p.CheckFeasibleTol(res.X, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,8 +123,8 @@ func TestSequentialParallelEdges(t *testing.T) {
 	// Multigraph: two parallel edges between the same endpoints.
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 1}})
 	p := BMatchingProblem(g, graph.UniformBudgets(2, 2))
-	x := p.Sequential(TightRounds(2), nil, rng.New(10))
-	if err := p.CheckFeasible(x); err != nil {
+	x := sequential(t, p, TightRounds(2), nil, rng.New(10))
+	if err := p.CheckFeasibleTol(x, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	if !p.IsTight(x, 0.2) {
@@ -151,7 +151,7 @@ func TestFullMPCPaperModeConverges(t *testing.T) {
 	// converge — each step contributes the initialization values and the
 	// remaining-capacity recursion shrinks the loose set.
 	p := gnmProblem(150, 2000, 2, 403)
-	res := p.FullMPC(PaperParams(), rng.New(11))
+	res := fullMPCRun(t, p, PaperParams(), rng.New(11))
 	if !res.Converged {
 		t.Fatal("paper-mode FullMPC did not converge")
 	}

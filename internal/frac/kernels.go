@@ -100,12 +100,17 @@ func (w View[V]) vLooseGather(dst []bool, y, x []V, alpha float64, workers int, 
 	})
 }
 
-// initialValuesWorkers is the blocked InitialValuesInto: the q pass is
-// elementwise over vertices, the x pass elementwise over edges, so both
-// edge-partition trivially. The min runs in float64; the store rounds to V,
-// which cannot exceed the V-precision capacity mirror (rounding to nearest
-// never crosses the representable w.r[e]).
-func (w View[V]) initialValuesWorkers(dst []V, q []float64, avgDeg float64, workers int) []V {
+// InitialValues writes x_{e,0} = min(r_e, q_v, q_u) with
+// q_v = 0.8·b_v / max(|E(v)|, d̄) — the initialization of Algorithm 1 that
+// both balances validity and keeps per-edge influence small (Section 1.4) —
+// into dst (len m) and returns it. avgDeg is d̄ of the graph the process
+// runs on, and q (len n) is per-vertex scratch. The q pass is elementwise
+// over vertices, the x pass elementwise over edges, so both partition
+// trivially over a pool of workers goroutines (0 = GOMAXPROCS). The min
+// runs in float64; the store rounds to V, which cannot exceed the
+// V-precision capacity mirror (rounding to nearest never crosses the
+// representable w.r[e]).
+func (w View[V]) InitialValues(dst []V, q []float64, avgDeg float64, workers int) []V {
 	g := w.p.G
 	//lint:parallel elementwise over vertices: q[v] depends only on v
 	par.ParallelForBlocks(workers, g.N, edgeGrain, func(lo, hi int) {
@@ -132,7 +137,7 @@ func (w View[V]) initialValuesWorkers(dst []V, q []float64, avgDeg float64, work
 	return dst
 }
 
-// initialValuesEdges32 is the float32 edge pass of initialValuesWorkers.
+// initialValuesEdges32 is the float32 edge pass of InitialValues.
 // Converting per element back and forth to float64 costs more than the
 // halved traffic saves, so this path mirrors q into a float32 table once
 // (n-sized, cache-resident at the scales that matter) and runs the min
@@ -165,17 +170,14 @@ func initialValuesEdges32(g *graph.Graph, dst, r32 []float32, q []float64, worke
 	})
 }
 
-// initialValuesWorkers keeps the pre-generic Problem spelling for the
-// float64 path (the fusion determinism harness pins it directly).
-func (p *Problem) initialValuesWorkers(dst, q []float64, avgDeg float64, workers int) []float64 {
-	return p.view64().initialValuesWorkers(dst, q, avgDeg, workers)
-}
-
-// eLooseWorkers is the blocked ELoose: the fused vertex pass computes the
-// V_loose indicator, then two elementwise edge passes (count, fill) emit
-// the loose edge ids in ascending order — per-block counts combine in
-// ascending block order, so the output is the serial append order exactly.
-func (w View[V]) eLooseWorkers(x []V, alpha float64, workers int) []int32 {
+// ELoose returns the edge ids in E_loose(x, α): edges with x_e < α·r_e
+// whose both endpoints are in V_loose(x, α) (Definition 3.2). The fused
+// vertex pass computes the V_loose indicator, then two elementwise edge
+// passes (count, fill) emit the loose edge ids in ascending order —
+// per-block counts combine in ascending block order, so the output is the
+// serial append order exactly, for every value type and worker count
+// (0 = GOMAXPROCS).
+func (w View[V]) ELoose(x []V, alpha float64, workers int) []int32 {
 	g := w.p.G
 	ar, done := scratch.Borrow(nil)
 	defer done()

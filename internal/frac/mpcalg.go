@@ -116,22 +116,14 @@ type OneRoundResult struct {
 // word; lastActive is always ≥ 0, so the low 32 bits round-trip exactly.
 func packVA(v, last int32) int64 { return int64(v)<<32 | int64(uint32(last)) }
 
-// OneRoundMPC executes Algorithm 2 on the MPC simulator. thresholds may be
-// nil (a fresh table is drawn). The returned x̃ is always LP-feasible.
-func (p *Problem) OneRoundMPC(params MPCParams, thresholds ThresholdFn, r *rng.RNG) *OneRoundResult {
-	res, err := p.OneRoundMPCCtx(context.Background(), params, thresholds, r)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return res
-}
-
-// OneRoundMPCCtx is OneRoundMPC with cooperative cancellation: the
-// simulator checks ctx at every superstep boundary and the driver aborts
-// between supersteps, returning ctx's error with no partial solution. A
-// completed run is bit-identical to OneRoundMPC with the same inputs.
-// params.Values selects the value mode; the returned X is always float64
-// (an exact conversion — every float32 value is float64-representable).
+// OneRoundMPCCtx executes Algorithm 2 on the MPC simulator. thresholds may
+// be nil (a fresh table is drawn). The returned x̃ is always LP-feasible.
+//
+// The simulator checks ctx at every superstep boundary and the driver
+// aborts between supersteps, returning ctx's error with no partial
+// solution. params.Values selects the value mode; the returned X is always
+// float64 (an exact conversion — every float32 value is
+// float64-representable).
 func (p *Problem) OneRoundMPCCtx(ctx context.Context, params MPCParams, thresholds ThresholdFn, r *rng.RNG) (*OneRoundResult, error) {
 	if params.Values == ValuesF32 {
 		ar, done := scratch.Borrow(params.Scratch)
@@ -142,7 +134,7 @@ func (p *Problem) OneRoundMPCCtx(ctx context.Context, params MPCParams, threshol
 		}
 		return out.result(), nil
 	}
-	out, err := oneRoundMPC(ctx, p.view64(), params, thresholds, r)
+	out, err := oneRoundMPC(ctx, NewView[float64](p), params, thresholds, r)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +191,7 @@ func oneRoundMPC[V Val](ctx context.Context, w View[V], params MPCParams, thresh
 	if params.InitNoClamp {
 		w.initialValuesUnclampedInto(x0, ar.F64Raw(n))
 	} else {
-		w.initialValuesWorkers(x0, ar.F64Raw(n), davg, workers)
+		w.InitialValues(x0, ar.F64Raw(n), davg, workers)
 	}
 
 	// Random vertex partition (line 3 of Algorithm 2).

@@ -59,8 +59,9 @@ type View[V Val] struct {
 	r []V
 }
 
-// NewView returns a value-mode view of p, heap-allocating the capacity
-// mirror when V ≠ float64. Drivers use viewScratch instead.
+// NewView returns a value-mode view of p. For V = float64 the view aliases
+// p.R; otherwise it heap-allocates the capacity mirror. Drivers use
+// viewScratch instead.
 func NewView[V Val](p *Problem) View[V] {
 	if r, ok := any(p.R).([]V); ok {
 		return View[V]{p: p, r: r}
@@ -72,10 +73,6 @@ func NewView[V Val](p *Problem) View[V] {
 
 // Problem returns the viewed instance.
 func (w View[V]) Problem() *Problem { return w.p }
-
-// view64 is the zero-cost float64 view every pre-existing Problem method
-// delegates through.
-func (p *Problem) view64() View[float64] { return View[float64]{p: p, r: p.R} }
 
 // viewScratch is NewView drawing the f32 capacity mirror from ar; the view
 // must not outlive ar's release scope.

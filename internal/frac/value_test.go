@@ -57,11 +57,11 @@ func TestF32SequentialFeasibleAndClose(t *testing.T) {
 		p := valueTestProblem(t, seed)
 		T := TightRounds(p.G.M())
 
-		x64, err := p.view64().SequentialScratch(context.Background(), T, nil, rng.New(99+seed), nil)
+		x64, err := NewView[float64](p).Sequential(context.Background(), T, nil, rng.New(99+seed), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x32, err := NewView[float32](p).SequentialScratch(context.Background(), T, nil, rng.New(99+seed), nil)
+		x32, err := NewView[float32](p).Sequential(context.Background(), T, nil, rng.New(99+seed), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

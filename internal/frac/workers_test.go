@@ -19,7 +19,7 @@ func TestOneRoundMPCDeterministicAcrossWorkers(t *testing.T) {
 		p := BMatchingProblem(g, graph.RandomBudgets(300, 1, 3, r.Split()))
 		params := PracticalParams()
 		params.Workers = workers
-		return p.OneRoundMPC(params, nil, r.Split())
+		return oneRoundRun(t, p, params, nil, r.Split())
 	}
 	ref := run(1)
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
@@ -48,7 +48,7 @@ func TestFullMPCDeterministicAcrossWorkers(t *testing.T) {
 		p := BMatchingProblem(g, graph.RandomBudgets(g.N, 1, 3, r.Split()))
 		params := PracticalParams()
 		params.Workers = workers
-		return p.FullMPC(params, r.Split())
+		return fullMPCRun(t, p, params, r.Split())
 	}
 	ref := run(1)
 	got := run(4)

@@ -221,7 +221,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // specFromQuery parses and validates the solve parameters; validation at
-// the request boundary mirrors bmatch.Options.Validate. The second return
+// the request boundary mirrors bmatch.Request.Validate. The second return
 // is the client's requested deadline (0 = none).
 func (s *Server) specFromQuery(r *http.Request) (engine.Spec, time.Duration, error) {
 	q := r.URL.Query()

@@ -18,12 +18,10 @@ import (
 //     variant exists precisely so the ctx is not dropped at that call.
 //   - Exported functions named ...Ctx must actually take a
 //     context.Context (the name is the contract).
-//   - In functions without a ctx parameter, context.Background() is
-//     allowed only in the sanctioned compat-wrapper position — as a
-//     direct argument to a ...Ctx call (`return FooCtx(context.Background(), …)`);
-//     anywhere else it needs a justification. context.TODO() is always
-//     flagged: the cone's convention for "no caller context" is a
-//     wrapper over Background.
+//   - In functions without a ctx parameter, context.Background() and
+//     context.TODO() are flagged too: the cone has no compat wrappers, so
+//     a solver entry point takes its caller's context instead of
+//     manufacturing one.
 //
 // A deliberate fresh root is kept with:
 //
@@ -61,26 +59,6 @@ func checkCtxFunc(pass *Pass, fd *ast.FuncDecl) {
 		return
 	}
 
-	// Background() calls in the compat-wrapper position: a direct
-	// argument of a call to a ...Ctx function, inside a function that
-	// itself has no ctx. These are the sanctioned `Foo` → `FooCtx`
-	// wrappers.
-	allowedBackground := make(map[*ast.CallExpr]bool)
-	if !hasCtx {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !calleeNameEndsCtx(call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok && isPkgFunc(pass.Info, inner, "context", "Background") {
-					allowedBackground[inner] = true
-				}
-			}
-			return true
-		})
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -88,9 +66,6 @@ func checkCtxFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		switch {
 		case isPkgFunc(pass.Info, call, "context", "Background"):
-			if allowedBackground[call] {
-				return true
-			}
 			if _, ok := pass.annotated(nearestStmtNode(call), "context"); ok {
 				return true
 			}
@@ -100,16 +75,16 @@ func checkCtxFunc(pass *Pass, fd *ast.FuncDecl) {
 						"pass the ctx parameter (or derive from it), or annotate //lint:context <reason>")
 			} else {
 				pass.Reportf(call.Pos(),
-					"context.Background() outside the Foo → FooCtx wrapper position: "+
-						"thread a caller context, or annotate //lint:context <reason>")
+					"context.Background() in the solver cone: "+
+						"take the caller's context, or annotate //lint:context <reason>")
 			}
 		case isPkgFunc(pass.Info, call, "context", "TODO"):
 			if _, ok := pass.annotated(nearestStmtNode(call), "context"); ok {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"context.TODO() in the solver cone: thread a real context "+
-					"(compat wrappers use context.Background()), or annotate //lint:context <reason>")
+				"context.TODO() in the solver cone: thread a real context, "+
+					"or annotate //lint:context <reason>")
 		default:
 			if !hasCtx {
 				return true
@@ -175,18 +150,6 @@ func signatureTakesContext(sig *types.Signature) bool {
 		if typeIsContext(sig.Params().At(i).Type()) {
 			return true
 		}
-	}
-	return false
-}
-
-// calleeNameEndsCtx reports, syntactically, whether the called
-// function's name ends in "Ctx" — the wrapper-position test.
-func calleeNameEndsCtx(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return strings.HasSuffix(fun.Name, "Ctx")
-	case *ast.SelectorExpr:
-		return strings.HasSuffix(fun.Sel.Name, "Ctx")
 	}
 	return false
 }

@@ -34,11 +34,11 @@ var wallClockFuncs = map[string]bool{
 //	go drainLogs()
 //
 // The pool entry points themselves are audited the same way: every
-// par.ParallelFor / par.ParallelForBlocks (or the mpc re-export) call
-// site in the cone must carry a //lint:parallel annotation stating why
-// the partitioned work is order- and width-independent — the analyzer
-// cannot prove the disjoint-writes argument, so it forces the author to
-// record it where a reviewer will look for it.
+// par.ParallelFor / par.ParallelForBlocks call site in the cone must
+// carry a //lint:parallel annotation stating why the partitioned work is
+// order- and width-independent — the analyzer cannot prove the
+// disjoint-writes argument, so it forces the author to record it where a
+// reviewer will look for it.
 var NondeterminismAnalyzer = &Analyzer{
 	Name: "nondeterminism",
 	Doc: "bans time.Now-style wall-clock reads, math/rand, and raw go statements " +
@@ -47,18 +47,15 @@ var NondeterminismAnalyzer = &Analyzer{
 	Run: runNondeterminism,
 }
 
-// parallelEntryPkgs are the packages whose ParallelFor/ParallelForBlocks
-// functions fan work out to the pool; mpc re-exports the par primitives.
-var parallelEntryPkgs = map[string]bool{
-	"repro/internal/par": true,
-	"repro/internal/mpc": true,
-}
+// parallelPkg is the package whose ParallelFor/ParallelForBlocks
+// functions fan work out to the pool.
+const parallelPkg = "repro/internal/par"
 
 // parallelCallName resolves call to a worker-pool entry point and
 // returns its qualified name, or "" when the call is something else.
 func parallelCallName(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || !parallelEntryPkgs[fn.Pkg().Path()] {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != parallelPkg {
 		return ""
 	}
 	if name := fn.Name(); name == "ParallelFor" || name == "ParallelForBlocks" {

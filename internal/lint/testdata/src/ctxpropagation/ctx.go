@@ -40,13 +40,13 @@ func AnnotatedFreshRootCtx(ctx context.Context) {
 	_ = ctx
 }
 
-// Solve is the sanctioned compat-wrapper position: Background as a
-// direct argument to the ...Ctx sibling.
-func Solve(s solver) { SolveCtx(context.Background(), s) }
+// Solve is the old compat-wrapper shape: Background as a direct argument
+// to the ...Ctx sibling is a finding like any other fresh root.
+func Solve(s solver) { SolveCtx(context.Background(), s) } // want "context.Background\\(\\) in the solver cone"
 
-// storedBackground is Background outside the wrapper position.
+// storedBackground manufactures a root outside any wrapper.
 func storedBackground() context.Context {
-	return context.Background() // want "outside the Foo → FooCtx wrapper position"
+	return context.Background() // want "context.Background\\(\\) in the solver cone"
 }
 
 func usesTODO() {

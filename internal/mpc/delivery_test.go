@@ -72,7 +72,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // because the sort compares Seq, not because the sort happens to be
 // stable.
 func TestSeqOrdersEqualKeys(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	s.Round(func(m *Machine) {
 		if m.ID == 1 {
 			for j := 0; j < 10; j++ {
@@ -99,7 +99,7 @@ func TestSeqOrdersEqualKeys(t *testing.T) {
 }
 
 func TestChargeRoundsCountsRounds(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	s.Round(func(m *Machine) {})
 	s.ChargeRounds(3)
 	if got := s.Stats().Rounds; got != 4 {
@@ -111,7 +111,7 @@ func TestChargeRoundsCountsRounds(t *testing.T) {
 // delivered messages are returned and the next round starts with empty
 // inboxes.
 func TestExchangeConsumesInbox(t *testing.T) {
-	s := NewSim(3)
+	s := NewSimWithWorkers(3, 0)
 	out := s.Exchange(func(m *Machine) {
 		m.Send((m.ID+1)%3, 0, m.ID, 2)
 	})
@@ -131,7 +131,7 @@ func TestExchangeConsumesInbox(t *testing.T) {
 // returned by Exchange must never be recycled into later rounds' inboxes,
 // even after many subsequent deliveries overwrite pooled buffers.
 func TestExchangeSlicesAreCallerOwned(t *testing.T) {
-	s := NewSim(4)
+	s := NewSimWithWorkers(4, 0)
 	out := s.Exchange(func(m *Machine) {
 		for j := 0; j < 6; j++ {
 			m.Send((m.ID+j)%4, int64(j), 1000*m.ID+j, 1)
@@ -157,7 +157,7 @@ func TestExchangeSlicesAreCallerOwned(t *testing.T) {
 // TestResidentHighWaterIncludesInbox: MaxMachineWords must account for the
 // delivered inbox on top of resident state.
 func TestResidentHighWaterIncludesInbox(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	s.Round(func(m *Machine) {
 		if m.ID == 1 {
 			m.Charge(10)
@@ -177,7 +177,7 @@ func TestResidentHighWaterIncludesInbox(t *testing.T) {
 // TestReleasePanicsOnOverRelease pins the satellite fix: over-releasing is
 // an accounting bug and must fail loudly instead of clamping to zero.
 func TestReleasePanicsOnOverRelease(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on negative resident words")
@@ -195,7 +195,7 @@ func TestReleasePanicsOnOverRelease(t *testing.T) {
 // charge is a disguised release and must not silently deflate the
 // MaxMachineWords observable.
 func TestChargePanicsOnNegative(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on negative charge")
@@ -216,7 +216,7 @@ func TestNewSimWithWorkersAccessors(t *testing.T) {
 	if w := NewSimWithWorkers(2, 64).Workers(); w != 2 {
 		t.Fatalf("workers not capped at machine count: %d", w)
 	}
-	if w := NewSim(4).Workers(); w < 1 {
+	if w := NewSimWithWorkers(4, 0).Workers(); w < 1 {
 		t.Fatalf("default workers = %d", w)
 	}
 }
@@ -257,7 +257,7 @@ func TestPrimitivesDeterministicAcrossWorkers(t *testing.T) {
 // TestReleasePanicsOnNegativeAmount mirrors the Charge invariant: a
 // negative release is a disguised charge.
 func TestReleasePanicsOnNegativeAmount(t *testing.T) {
-	s := NewSim(1)
+	s := NewSimWithWorkers(1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on negative release amount")

@@ -58,9 +58,10 @@ type Stats struct {
 	TotalTraffic    int64 // total words communicated
 }
 
-// Sim is a simulator instance. Create with NewSim or NewSimWithWorkers; a
-// Sim is not safe for concurrent use by multiple top-level algorithms, but
-// machine callbacks within a round run in parallel.
+// Sim is a simulator instance. Create with NewSimWithWorkers or
+// NewSimWithTransport; a Sim is not safe for concurrent use by multiple
+// top-level algorithms, but machine callbacks within a round run in
+// parallel.
 type Sim struct {
 	n       int
 	workers int
@@ -86,15 +87,6 @@ type Sim struct {
 	shared    bool
 }
 
-// NewSim returns a simulator with n machines. Worker parallelism defaults
-// to GOMAXPROCS.
-func NewSim(n int) *Sim { return NewSimWithWorkers(n, 0) }
-
-// PoolSize resolves a requested worker count to the effective pool width:
-// values ≤ 0 select GOMAXPROCS. It is par.PoolSize, re-exported alongside
-// ParallelFor.
-func PoolSize(workers int) int { return par.PoolSize(workers) }
-
 // NewSimWithWorkers returns a simulator with n machines whose compute and
 // delivery phases run on workers goroutines. workers ≤ 0 selects
 // GOMAXPROCS. Results and Stats are identical for every worker count.
@@ -117,7 +109,7 @@ func NewSimWithTransport(n, workers int, f TransportFactory) (*Sim, error) {
 	if n < 1 {
 		panic("mpc: need at least one machine")
 	}
-	workers = PoolSize(workers)
+	workers = par.PoolSize(workers)
 	if workers > n {
 		workers = n
 	}
@@ -231,15 +223,6 @@ func (m *Machine) Release(words int64) {
 	}
 }
 
-// ParallelFor runs f(0), ..., f(n-1) on a pool of workers goroutines
-// (workers ≤ 0 selects GOMAXPROCS) and returns when all calls completed.
-// It is par.ParallelFor, re-exported because the simulator is where
-// algorithm code already looks for its parallelism knobs; see
-// internal/par for the contract.
-//
-//lint:parallel pure re-export: the caller's own site carries the real audit
-func ParallelFor(workers, n int, f func(int)) { par.ParallelFor(workers, n, f) }
-
 // Round executes one superstep: fn runs for every machine in parallel, then
 // queued messages are handed to the transport for delivery. It returns
 // after delivery, with all accounting updated. If a context attached via
@@ -278,7 +261,7 @@ func (s *Sim) Round(fn func(m *Machine)) {
 		w = gm
 	}
 	//lint:parallel machine callbacks write only machine-owned state; delivery order is re-sorted by the transport's total order
-	ParallelFor(w, s.n, func(i int) { fn(s.machines[i]) })
+	par.ParallelFor(w, s.n, func(i int) { fn(s.machines[i]) })
 	if err := s.deliver(); err != nil {
 		s.err = err
 		s.inbox = s.emptyInbox()

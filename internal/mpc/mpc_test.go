@@ -6,7 +6,7 @@ import (
 )
 
 func TestRoundDeliversMessages(t *testing.T) {
-	s := NewSim(4)
+	s := NewSimWithWorkers(4, 0)
 	// Every machine sends its id to machine 0.
 	s.Round(func(m *Machine) {
 		m.Send(0, int64(m.ID), m.ID, 1)
@@ -35,7 +35,7 @@ func TestRoundDeliversMessages(t *testing.T) {
 }
 
 func TestTrafficAccounting(t *testing.T) {
-	s := NewSim(3)
+	s := NewSimWithWorkers(3, 0)
 	s.Round(func(m *Machine) {
 		if m.ID == 1 {
 			m.Send(2, 0, "x", 10)
@@ -52,7 +52,7 @@ func TestTrafficAccounting(t *testing.T) {
 }
 
 func TestChargeRelease(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	s.Round(func(m *Machine) {
 		if m.ID == 0 {
 			m.Charge(100)
@@ -75,7 +75,7 @@ func TestChargeRelease(t *testing.T) {
 }
 
 func TestSendPanicsOutOfRange(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -89,7 +89,7 @@ func TestSendPanicsOutOfRange(t *testing.T) {
 }
 
 func TestExchangeReturnsAndConsumes(t *testing.T) {
-	s := NewSim(2)
+	s := NewSimWithWorkers(2, 0)
 	out := s.Exchange(func(m *Machine) {
 		m.Send(1-m.ID, 0, m.ID, 1)
 	})
@@ -105,7 +105,7 @@ func TestExchangeReturnsAndConsumes(t *testing.T) {
 }
 
 func TestPrefixSums(t *testing.T) {
-	s := NewSim(3)
+	s := NewSimWithWorkers(3, 0)
 	vals := [][]int64{{1, 2, 3}, {}, {4, 5}}
 	got := PrefixSums(s, vals)
 	want := [][]int64{{0, 1, 3}, {}, {6, 10}}
@@ -125,7 +125,7 @@ func TestPrefixSums(t *testing.T) {
 }
 
 func TestShuffle(t *testing.T) {
-	s := NewSim(4)
+	s := NewSimWithWorkers(4, 0)
 	items := [][]int{{1, 5, 9}, {2, 6}, {3}, {4, 8, 12}}
 	got := Shuffle(s, items,
 		func(x int) int { return x % 4 },
@@ -152,7 +152,7 @@ func TestShuffle(t *testing.T) {
 }
 
 func TestSortInt64(t *testing.T) {
-	s := NewSim(4)
+	s := NewSimWithWorkers(4, 0)
 	vals := [][]int64{{9, 1, 7}, {3, 3, 100}, {}, {2, 50, 4, 6}}
 	got := SortInt64(s, vals)
 	var flat []int64
@@ -180,7 +180,7 @@ func TestSortInt64(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []int64 {
-		s := NewSim(5)
+		s := NewSimWithWorkers(5, 0)
 		vals := make([][]int64, 5)
 		for i := range vals {
 			for j := 0; j < 20; j++ {
@@ -203,7 +203,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestSearchInt64Predecessor(t *testing.T) {
-	s := NewSim(4)
+	s := NewSimWithWorkers(4, 0)
 	// A distributed sorted sequence as SortInt64 would produce it.
 	shards := [][]int64{{1, 3, 5}, {7, 9}, {}, {11, 20, 30}}
 	queries := []int64{0, 1, 4, 8, 10, 25, 100}
@@ -220,7 +220,7 @@ func TestSearchInt64Predecessor(t *testing.T) {
 }
 
 func TestSearchAfterSort(t *testing.T) {
-	s := NewSim(5)
+	s := NewSimWithWorkers(5, 0)
 	vals := make([][]int64, 5)
 	for i := range vals {
 		for j := 0; j < 30; j++ {

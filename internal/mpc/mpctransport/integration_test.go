@@ -24,7 +24,10 @@ func TestFullMPCBitIdenticalAcrossBackends(t *testing.T) {
 
 	params := frac.PracticalParams()
 	params.Workers = 2
-	want := p.FullMPC(params, rng.New(5))
+	want, err := p.FullMPCCtx(context.Background(), params, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, nw := range []int{2, 3} {
 		addrs, workers := startWorkers(t, nw)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"runtime"
 	"slices"
+
+	"repro/internal/par"
 )
 
 // Transport routes one superstep's messages. Its contract is the
@@ -190,7 +192,7 @@ func (t *inprocTransport) Deliver(tr *RoundTraffic) ([][]Message, error) {
 
 	// Pass 1 (parallel): per-shard destination counts and word totals.
 	//lint:parallel each shard writes only its own count/words arrays over its own sender range
-	ParallelFor(w, w, func(wi int) {
+	par.ParallelFor(w, w, func(wi int) {
 		sh := &shards[wi]
 		for d := 0; d < n; d++ {
 			sh.count[d] = 0
@@ -234,7 +236,7 @@ func (t *inprocTransport) Deliver(tr *RoundTraffic) ([][]Message, error) {
 
 	// Pass 2 (parallel): scatter messages into the disjoint shard regions.
 	//lint:parallel shards write disjoint cursor-assigned inbox regions; the final sort imposes the total order
-	ParallelFor(w, w, func(wi int) {
+	par.ParallelFor(w, w, func(wi int) {
 		sh := &shards[wi]
 		for sender := sh.lo; sender < sh.hi; sender++ {
 			for _, msg := range tr.Outbox[sender] {
@@ -247,7 +249,7 @@ func (t *inprocTransport) Deliver(tr *RoundTraffic) ([][]Message, error) {
 	// Pass 3 (parallel): per-destination inbox sorts into the documented
 	// (sender, key, send order) total order.
 	//lint:parallel each destination's inbox is sorted in place by the unique (sender, key, seq) total order
-	ParallelFor(w, n, func(d int) {
+	par.ParallelFor(w, n, func(d int) {
 		if len(next[d]) >= 2 {
 			SortInbox(next[d])
 		}

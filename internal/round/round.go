@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/mpc"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scratch"
 )
@@ -76,21 +76,12 @@ func sampleScratch(g *graph.Graph, b graph.Budgets, x []float64, div float64, r 
 	return m
 }
 
-// Round runs Params.Repeats independent trials and returns the best
-// b-matching found.
-func Round(g *graph.Graph, b graph.Budgets, x []float64, p Params, r *rng.RNG) *matching.BMatching {
-	m, err := RoundCtx(context.Background(), g, b, x, p, r)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return m
-}
-
-// RoundCtx is Round with cooperative cancellation: trials still running
-// when ctx is cancelled are skipped (each trial checks ctx before it
-// starts), and a cancelled call returns ctx's error with no partial
-// matching. A completed call is bit-identical to Round: the trial RNGs are
-// split off up front and the winner scan is unchanged.
+// RoundCtx runs Params.Repeats independent trials and returns the best
+// b-matching found. Trials still running when ctx is cancelled are skipped
+// (each trial checks ctx before it starts), and a cancelled call returns
+// ctx's error with no partial matching. A completed call does not depend on
+// ctx: the trial RNGs are split off up front and the winner scan is
+// serial.
 func RoundCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, x []float64, p Params, r *rng.RNG) (*matching.BMatching, error) {
 	if p.SampleDivisor <= 0 {
 		p.SampleDivisor = 4
@@ -104,7 +95,7 @@ func RoundCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, x []float64,
 	}
 	trials := make([]*matching.BMatching, p.Repeats)
 	//lint:parallel trials write only their own slot with pre-split RNGs; the best trial is picked serially in trial order
-	mpc.ParallelFor(p.Workers, p.Repeats, func(t int) {
+	par.ParallelFor(p.Workers, p.Repeats, func(t int) {
 		if ctx.Err() != nil {
 			return // result discarded below; skipping frees the pool fast
 		}

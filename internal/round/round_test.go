@@ -1,24 +1,43 @@
 package round
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/frac"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/rng"
 )
 
-func tightSolution(n, m, b int, seed int64) (*frac.Problem, []float64) {
+func tightSolution(t testing.TB, n, m, b int, seed int64) (*frac.Problem, []float64) {
 	r := rng.New(seed)
 	g := graph.Gnm(n, m, r.Split())
 	p := frac.BMatchingProblem(g, graph.UniformBudgets(n, b))
-	x := p.Sequential(frac.TightRounds(m), nil, r.Split())
-	return p, x
+	return p, mustSequential(t, p, frac.TightRounds(m), r.Split())
+}
+
+func mustSequential(t testing.TB, p *frac.Problem, T int, r *rng.RNG) []float64 {
+	t.Helper()
+	x, err := frac.NewView[float64](p).Sequential(context.Background(), T, nil, r, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+func mustRound(t testing.TB, g *graph.Graph, b graph.Budgets, x []float64, p Params, r *rng.RNG) *matching.BMatching {
+	t.Helper()
+	m, err := RoundCtx(context.Background(), g, b, x, p, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestSampleProducesValidBMatching(t *testing.T) {
-	p, x := tightSolution(100, 800, 2, 1)
+	p, x := tightSolution(t, 100, 800, 2, 1)
 	b := graph.UniformBudgets(100, 2)
 	m := Sample(p.G, b, x, 4, rng.New(2))
 	if err := m.Validate(); err != nil {
@@ -29,9 +48,9 @@ func TestSampleProducesValidBMatching(t *testing.T) {
 func TestRoundSizeWithinLemmaBound(t *testing.T) {
 	// Lemma 3.3: E|M| ≥ Σx/64. With 16 repeats the best trial should land
 	// comfortably above half that.
-	p, x := tightSolution(200, 3000, 2, 3)
+	p, x := tightSolution(t, 200, 3000, 2, 3)
 	b := graph.UniformBudgets(200, 2)
-	m := Round(p.G, b, x, DefaultParams(), rng.New(4))
+	m := mustRound(t, p.G, b, x, DefaultParams(), rng.New(4))
 	if float64(m.Size()) < frac.Value(x)/128 {
 		t.Fatalf("rounded size %d far below Lemma 3.3 expectation (Σx=%v)", m.Size(), frac.Value(x))
 	}
@@ -45,8 +64,8 @@ func TestRoundRespectsHeterogeneousBudgets(t *testing.T) {
 	g := graph.Gnm(80, 600, r.Split())
 	b := graph.RandomBudgets(80, 0, 4, r.Split())
 	p := frac.BMatchingProblem(g, b)
-	x := p.Sequential(frac.TightRounds(g.M()), nil, r.Split())
-	m := Round(g, b, x, DefaultParams(), r.Split())
+	x := mustSequential(t, p, frac.TightRounds(g.M()), r.Split())
+	m := mustRound(t, g, b, x, DefaultParams(), r.Split())
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +77,9 @@ func TestRoundRespectsHeterogeneousBudgets(t *testing.T) {
 }
 
 func TestGreedyFillMaximality(t *testing.T) {
-	p, x := tightSolution(60, 400, 2, 6)
+	p, x := tightSolution(t, 60, 400, 2, 6)
 	b := graph.UniformBudgets(60, 2)
-	m := Round(p.G, b, x, DefaultParams(), rng.New(7))
+	m := mustRound(t, p.G, b, x, DefaultParams(), rng.New(7))
 	GreedyFill(m, false)
 	for e := int32(0); int(e) < p.G.M(); e++ {
 		if m.CanAdd(e) {
@@ -78,7 +97,7 @@ func TestGreedyFillWeightedPrefersHeavy(t *testing.T) {
 	})
 	b := graph.UniformBudgets(3, 1)
 	x := []float64{0, 0}
-	m := Round(g, b, x, DefaultParams(), rng.New(1))
+	m := mustRound(t, g, b, x, DefaultParams(), rng.New(1))
 	GreedyFill(m, true)
 	if !m.Contains(1) {
 		t.Fatal("weighted fill skipped the heavy edge")
@@ -86,9 +105,9 @@ func TestGreedyFillWeightedPrefersHeavy(t *testing.T) {
 }
 
 func TestRoundDefaultsApplied(t *testing.T) {
-	p, x := tightSolution(40, 200, 1, 8)
+	p, x := tightSolution(t, 40, 200, 1, 8)
 	b := graph.UniformBudgets(40, 1)
-	m := Round(p.G, b, x, Params{}, rng.New(9)) // zero params → defaults
+	m := mustRound(t, p.G, b, x, Params{}, rng.New(9)) // zero params → defaults
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +121,7 @@ func TestRoundValidityProperty(t *testing.T) {
 		g := graph.Gnm(30, 120, r.Split())
 		b := graph.RandomBudgets(30, 1, 3, r.Split())
 		p := frac.BMatchingProblem(g, b)
-		x := p.Sequential(6, nil, r.Split())
+		x := mustSequential(t, p, 6, r.Split())
 		m := Sample(g, b, x, 4, r.Split())
 		return m.Validate() == nil
 	}

@@ -23,7 +23,7 @@ func TestRoundDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []bool {
 		p := DefaultParams()
 		p.Workers = workers
-		m := Round(g, b, x, p, rng.New(77))
+		m := mustRound(t, g, b, x, p, rng.New(77))
 		in := make([]bool, g.M())
 		for e := 0; e < g.M(); e++ {
 			in[e] = m.Contains(int32(e))

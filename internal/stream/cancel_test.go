@@ -94,19 +94,22 @@ func TestStreamCancelSemantics(t *testing.T) {
 	}
 }
 
-// TestStreamCtxVariantsMatchPlain: the Ctx variants with a background
-// context must be bit-identical to the plain entry points.
+// TestStreamCtxVariantsMatchPlain: a run under a live, cancellable context
+// must be bit-identical to one under context.Background — the pass-boundary
+// checks never affect the output.
 func TestStreamCtxVariantsMatchPlain(t *testing.T) {
 	r := rng.New(23)
 	g := graph.GnmWeighted(50, 400, 1, 6, r.Split())
 	b := graph.UniformBudgets(50, 2)
 	params := Params{Eps: 0.5}
 
-	plain, err := OnePlusEpsWeighted(NewSliceStream(g), g.N, b, params, rng.New(7))
+	plain, err := OnePlusEpsWeightedCtx(context.Background(), NewSliceStream(g), g.N, b, params, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := OnePlusEpsWeightedCtx(context.Background(), NewSliceStream(g), g.N, b, params, rng.New(7))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx, err := OnePlusEpsWeightedCtx(ctx, NewSliceStream(g), g.N, b, params, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -382,28 +382,17 @@ type Result struct {
 	Sweeps    int
 }
 
-// OnePlusEps runs the multi-pass unweighted driver over the stream.
-func OnePlusEps(s Stream, n int, b graph.Budgets, params Params, r *rng.RNG) (*Result, error) {
-	return OnePlusEpsCtx(context.Background(), s, n, b, params, r)
-}
-
-// OnePlusEpsCtx is OnePlusEps with cooperative cancellation, checked at
-// every stream-pass boundary (the initial fill pass, each layered
-// instance's gap passes, and each sweep's closing fill pass) — the same
-// contract the MPC drivers gained in the engine stack. A cancelled run
-// returns ctx's error and no partial result; a completed run is
-// bit-identical to OnePlusEps.
+// OnePlusEpsCtx runs the multi-pass unweighted driver over the stream.
+// ctx is checked at every stream-pass boundary (the initial fill pass, each
+// layered instance's gap passes, and each sweep's closing fill pass) — the
+// same contract as the MPC drivers. A cancelled run returns ctx's error
+// and no partial result.
 func OnePlusEpsCtx(ctx context.Context, s Stream, n int, b graph.Budgets, params Params, r *rng.RNG) (*Result, error) {
 	return run(ctx, s, n, b, params, false, r)
 }
 
-// OnePlusEpsWeighted runs the multi-pass weighted driver over the stream.
-func OnePlusEpsWeighted(s Stream, n int, b graph.Budgets, params Params, r *rng.RNG) (*Result, error) {
-	return OnePlusEpsWeightedCtx(context.Background(), s, n, b, params, r)
-}
-
-// OnePlusEpsWeightedCtx is OnePlusEpsWeighted with cooperative
-// cancellation at pass boundaries (see OnePlusEpsCtx).
+// OnePlusEpsWeightedCtx runs the multi-pass weighted driver over the
+// stream, with cancellation at pass boundaries (see OnePlusEpsCtx).
 func OnePlusEpsWeightedCtx(ctx context.Context, s Stream, n int, b graph.Budgets, params Params, r *rng.RNG) (*Result, error) {
 	return run(ctx, s, n, b, params, true, r)
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -162,7 +163,7 @@ func TestMultiPassUnweightedImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEps(NewSliceStream(g), g.N, b, Params{Eps: 0.25}, r.Split())
+	res, err := OnePlusEpsCtx(context.Background(), NewSliceStream(g), g.N, b, Params{Eps: 0.25}, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMultiPassMemoryStaysSubLinearInM(t *testing.T) {
 	// Dense graph, tiny budgets: m ≫ Σb_v.
 	g := graph.Gnm(80, 2500, r.Split())
 	b := graph.UniformBudgets(80, 1)
-	res, err := OnePlusEps(NewSliceStream(g), g.N, b,
+	res, err := OnePlusEpsCtx(context.Background(), NewSliceStream(g), g.N, b,
 		Params{Eps: 0.5, MaxSweeps: 4, RetriesPerK: 2, MaxRetries: 4}, r.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestMultiPassWeightedImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEpsWeighted(NewSliceStream(g), g.N, b, Params{Eps: 0.25}, r.Split())
+	res, err := OnePlusEpsWeightedCtx(context.Background(), NewSliceStream(g), g.N, b, Params{Eps: 0.25}, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestStreamingOrderInvariantValidity(t *testing.T) {
 		g := graph.Gnm(25, 100, r.Split())
 		b := graph.RandomBudgets(25, 1, 3, r.Split())
 		perm := r.Perm(g.M())
-		res, err := OnePlusEps(NewPermutedStream(g, perm), g.N, b,
+		res, err := OnePlusEpsCtx(context.Background(), NewPermutedStream(g, perm), g.N, b,
 			Params{Eps: 0.5, MaxSweeps: 3, RetriesPerK: 2, MaxRetries: 4}, r.Split())
 		if err != nil {
 			return false
@@ -240,11 +241,11 @@ func TestStreamingDeterministic(t *testing.T) {
 	g := graph.Gnm(30, 150, rng.New(5))
 	b := graph.UniformBudgets(30, 2)
 	p := Params{Eps: 0.5, MaxSweeps: 3, RetriesPerK: 2, MaxRetries: 4}
-	a, err := OnePlusEps(NewSliceStream(g), g.N, b, p, r1)
+	a, err := OnePlusEpsCtx(context.Background(), NewSliceStream(g), g.N, b, p, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := OnePlusEps(NewSliceStream(g), g.N, b, p, r2)
+	c, err := OnePlusEpsCtx(context.Background(), NewSliceStream(g), g.N, b, p, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestParamsWithDefaults(t *testing.T) {
 func TestStreamZeroBudgets(t *testing.T) {
 	g := graph.Gnm(20, 60, rng.New(40))
 	b := make(graph.Budgets, 20)
-	res, err := OnePlusEps(NewSliceStream(g), g.N, b,
+	res, err := OnePlusEpsCtx(context.Background(), NewSliceStream(g), g.N, b,
 		Params{Eps: 0.5, MaxSweeps: 2, RetriesPerK: 1, MaxRetries: 1}, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ func TestStreamZeroBudgets(t *testing.T) {
 
 func TestStreamEmptyStream(t *testing.T) {
 	g := graph.MustNew(5, nil)
-	res, err := OnePlusEps(NewSliceStream(g), g.N, graph.UniformBudgets(5, 2),
+	res, err := OnePlusEpsCtx(context.Background(), NewSliceStream(g), g.N, graph.UniformBudgets(5, 2),
 		Params{Eps: 0.5, MaxSweeps: 2, RetriesPerK: 1, MaxRetries: 1}, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +311,7 @@ func TestStreamWeightedFixesGreedyTrap(t *testing.T) {
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 3},
 	})
 	b := graph.UniformBudgets(4, 1)
-	res, err := OnePlusEpsWeighted(NewSliceStream(g), g.N, b, Params{Eps: 0.25}, rng.New(44))
+	res, err := OnePlusEpsWeightedCtx(context.Background(), NewSliceStream(g), g.N, b, Params{Eps: 0.25}, rng.New(44))
 	if err != nil {
 		t.Fatal(err)
 	}

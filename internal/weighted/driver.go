@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/mpc"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scratch"
 )
@@ -105,19 +105,14 @@ type Result struct {
 	EstMPCRounds int
 }
 
-// OnePlusEpsWeighted computes a (1+ε)-approximate maximum weight b-matching.
-// If initial is nil, the weight-sorted greedy (2-approximate) is used as the
-// starting point; otherwise initial is improved in place.
-func OnePlusEpsWeighted(g *graph.Graph, b graph.Budgets, initial *matching.BMatching, params Params, r *rng.RNG) (*Result, error) {
-	return OnePlusEpsWeightedCtx(context.Background(), g, b, initial, params, r)
-}
-
-// OnePlusEpsWeightedCtx is OnePlusEpsWeighted with cooperative
-// cancellation: ctx is checked at every driver round (and inside the
-// parallel candidate generation, so cancelled rounds free the worker pool
-// without waiting for all jobs), and a cancelled run returns ctx's error. A
-// fresh uncancelled run with the same seed is bit-identical to
-// OnePlusEpsWeighted.
+// OnePlusEpsWeightedCtx computes a (1+ε)-approximate maximum weight
+// b-matching. If initial is nil, the weight-sorted greedy (2-approximate)
+// is used as the starting point; otherwise initial is improved in place.
+//
+// ctx is checked at every driver round (and inside the parallel candidate
+// generation, so cancelled rounds free the worker pool without waiting for
+// all jobs), and a cancelled run returns ctx's error. A fresh run with the
+// same seed is bit-identical to one that was never cancelled.
 func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, initial *matching.BMatching, params Params, r *rng.RNG) (*Result, error) {
 	params = params.withDefaults()
 	m := initial
@@ -154,7 +149,7 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 			}
 		}
 		//lint:parallel jobs write only their own out slot with pre-split RNGs; the pool is assembled serially in job order
-		mpc.ParallelFor(params.Workers, len(jobs), func(j int) {
+		par.ParallelFor(params.Workers, len(jobs), func(j int) {
 			if ctx.Err() != nil {
 				return // round aborts below before using any job output
 			}
@@ -166,7 +161,7 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 			defer done()
 			inst := buildInstanceScratch(m, job.k, job.rB, ar)
 			cands := inst.growScratch(job.rG, ar)
-			job.out = ResolveWithin(cands, m, params.KeepProb, job.rR)
+			job.out = ResolveWithin(cands, m, params.KeepProb, job.rR, 1)
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, err

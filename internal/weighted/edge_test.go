@@ -1,6 +1,7 @@
 package weighted
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,7 +16,7 @@ func TestDriverZeroWeightEdges(t *testing.T) {
 		{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 5}, {U: 2, V: 3, W: 0},
 	})
 	b := graph.UniformBudgets(4, 1)
-	res, err := OnePlusEpsWeighted(g, b, nil, DefaultParams(0.5), rng.New(1))
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, DefaultParams(0.5), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestDriverZeroBudgets(t *testing.T) {
 	r := rng.New(2)
 	g := graph.GnmWeighted(15, 40, 1, 5, r.Split())
 	b := make(graph.Budgets, 15) // all zero
-	res, err := OnePlusEpsWeighted(g, b, nil, DefaultParams(0.5), r.Split())
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, DefaultParams(0.5), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestDriverMultigraphPicksHeavyParallel(t *testing.T) {
 	// Two parallel edges, budgets 1: the heavier must win.
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 9}})
 	b := graph.UniformBudgets(2, 1)
-	res, err := OnePlusEpsWeighted(g, b, nil, DefaultParams(0.5), rng.New(3))
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, DefaultParams(0.5), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestDriverPaperKeepProb(t *testing.T) {
 	p := DefaultParams(0.5)
 	p.KeepProb = 0.1
 	p.MaxRounds = 40
-	res, err := OnePlusEpsWeighted(g, b, nil, p, r.Split())
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, p, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +84,8 @@ func TestInstanceKOne(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 20; trial++ {
-		in := BuildInstance(m, 1, r.Split())
-		cands := in.Grow(r.Split())
+		in := buildInstanceScratch(m, 1, r.Split(), nil)
+		cands := in.growScratch(r.Split(), nil)
 		mc := m.Clone()
 		for _, c := range cands {
 			if err := c.Walk.Apply(mc); err != nil {
@@ -106,8 +107,8 @@ func TestGainDecreasingNeverApplied(t *testing.T) {
 	_ = m.Add(2)
 	r := rng.New(6)
 	for trial := 0; trial < 50; trial++ {
-		in := BuildInstance(m, 3, r.Split())
-		if cands := in.Grow(r.Split()); len(cands) != 0 {
+		in := buildInstanceScratch(m, 3, r.Split(), nil)
+		if cands := in.growScratch(r.Split(), nil); len(cands) != 0 {
 			t.Fatalf("positive-gain candidate on an optimal matching: %+v", cands[0])
 		}
 	}

@@ -64,17 +64,11 @@ type Instance struct {
 	freeH, freeT []int32
 }
 
-// BuildInstance draws a random weighted layered instance with k ≥ 1 matched
-// layers. The returned instance owns its buffers; the driver's hot loop
-// uses buildInstanceScratch, which borrows them from a per-job arena.
-func BuildInstance(m *matching.BMatching, k int, r *rng.RNG) *Instance {
-	return buildInstanceScratch(m, k, r, nil)
-}
-
-// buildInstanceScratch is BuildInstance drawing the instance's flat arrays
-// from ar (nil allocates them normally). The instance must not outlive the
-// borrow scope of ar; candidates extracted by Grow are copied out and are
-// always safe to retain. RNG consumption is identical to BuildInstance.
+// buildInstanceScratch draws a random weighted layered instance with k ≥ 1
+// matched layers, taking the instance's flat arrays from ar (nil allocates
+// them normally). The instance must not outlive the borrow scope of ar;
+// candidates extracted by growScratch are copied out and are always safe
+// to retain. RNG consumption does not depend on ar.
 func buildInstanceScratch(m *matching.BMatching, k int, r *rng.RNG, ar *scratch.Arena) *Instance {
 	if k < 1 {
 		k = 1
@@ -218,17 +212,13 @@ type pathState struct {
 	gain         float64 // running gain of the full prefix
 }
 
-// Grow runs the layer-by-layer alternating search (the MPC content of
+// growScratch runs the layer-by-layer alternating search (the MPC content of
 // Alg-Alternating, Lemma 5.5: each step extends all paths in parallel by
 // one unmatched and one matched edge) and returns gain-positive candidates.
-// All returned candidates are mutually edge- and copy-disjoint.
-func (in *Instance) Grow(r *rng.RNG) []Candidate {
-	return in.growScratch(r, nil)
-}
-
-// growScratch is Grow with its free-slot counters borrowed from ar (nil
-// allocates). Returned candidates hold freshly copied walks and are always
-// safe to retain past the borrow scope.
+// All returned candidates are mutually edge- and copy-disjoint. The
+// free-slot counters are borrowed from ar (nil allocates); returned
+// candidates hold freshly copied walks and are always safe to retain past
+// the borrow scope.
 func (in *Instance) growScratch(r *rng.RNG, ar *scratch.Arena) []Candidate {
 	g := in.m.Graph()
 

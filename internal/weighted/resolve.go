@@ -30,22 +30,16 @@ var resolveGrain = 16
 // (Line 6, via Algorithm 4), and is then kept only if it remains jointly
 // applicable with the already-kept set.
 //
-// The driver calls this from per-instance jobs that already occupy the
-// worker pool, so the single-worker width is the production path there;
-// ResolveWithinWorkers fans the scoring stage out for callers resolving one
-// large candidate pool.
-func ResolveWithin(cands []Candidate, m *matching.BMatching, keepProb float64, r *rng.RNG) []Candidate {
-	return ResolveWithinWorkers(cands, m, keepProb, r, 1)
-}
-
-// ResolveWithinWorkers is ResolveWithin with the candidate-scoring stage
-// (component decomposition and gain, the expensive part) run over blocked
-// workers. The kept set is bit-identical for every worker count: coins are
+// The candidate-scoring stage (component decomposition and gain, the
+// expensive part) runs over blocked workers. The driver calls this from
+// per-instance jobs that already occupy the worker pool, so it passes
+// workers = 1; callers resolving one large candidate pool fan the scoring
+// out. The kept set is bit-identical for every worker count: coins are
 // pre-drawn serially in candidate order, so RNG consumption is exactly the
 // serial loop's; scoring only reads m and writes candidate-owned slots; and
 // the greedy joint-applicability acceptance replays serially in candidate
 // order.
-func ResolveWithinWorkers(cands []Candidate, m *matching.BMatching, keepProb float64, r *rng.RNG, workers int) []Candidate {
+func ResolveWithin(cands []Candidate, m *matching.BMatching, keepProb float64, r *rng.RNG, workers int) []Candidate {
 	if len(cands) == 0 {
 		return nil
 	}

@@ -27,17 +27,10 @@ const prioBits = 20 // up to 2^20 candidates per resolution batch
 
 // ResolveWithinMPC resolves conflicts among candidates on the MPC
 // simulator and returns the surviving candidates plus the simulator stats
-// (whose MaxMachineWords is experiment E9's observable). The simulator
-// runs with the default (GOMAXPROCS) worker pool; use
-// ResolveWithinMPCWorkers to pin the pool width.
-func ResolveWithinMPC(cands []Candidate, m *matching.BMatching, machines int) ([]Candidate, mpc.Stats) {
-	return ResolveWithinMPCWorkers(cands, m, machines, 0)
-}
-
-// ResolveWithinMPCWorkers is ResolveWithinMPC with an explicit worker-pool
-// width for the simulator (0 = GOMAXPROCS). Survivors and stats are
-// identical for every worker count.
-func ResolveWithinMPCWorkers(cands []Candidate, m *matching.BMatching, machines, workers int) ([]Candidate, mpc.Stats) {
+// (whose MaxMachineWords is experiment E9's observable). workers is the
+// simulator's worker-pool width (0 = GOMAXPROCS); survivors and stats are
+// identical for every width.
+func ResolveWithinMPC(cands []Candidate, m *matching.BMatching, machines, workers int) ([]Candidate, mpc.Stats) {
 	if machines < 2 {
 		machines = 2
 	}

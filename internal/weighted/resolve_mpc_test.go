@@ -14,7 +14,7 @@ func TestResolveWithinMPCRespectsEdgeConflicts(t *testing.T) {
 	m := matching.MustNew(g, graph.UniformBudgets(2, 1))
 	c1 := Candidate{Walk: matching.Walk{EdgeIDs: []int32{0}, Start: 0}, Gain: 5}
 	c2 := Candidate{Walk: matching.Walk{EdgeIDs: []int32{0}, Start: 1}, Gain: 3}
-	kept, _ := ResolveWithinMPC([]Candidate{c2, c1}, m, 4)
+	kept, _ := ResolveWithinMPC([]Candidate{c2, c1}, m, 4, 0)
 	if len(kept) != 1 || kept[0].Gain != 5 {
 		t.Fatalf("kept %v", kept)
 	}
@@ -39,7 +39,7 @@ func TestResolveWithinMPCRespectsBudgetCapacity(t *testing.T) {
 			Gain: float64(e + 1),
 		})
 	}
-	kept, stats := ResolveWithinMPC(cands, m, 4)
+	kept, stats := ResolveWithinMPC(cands, m, 4, 0)
 	if len(kept) != 3 {
 		t.Fatalf("kept %d candidates at hub capacity 3", len(kept))
 	}
@@ -67,10 +67,10 @@ func TestResolveWithinMPCSurvivorsJointlyApplicable(t *testing.T) {
 		// Candidates from several independent instances (so they conflict).
 		var cands []Candidate
 		for i := 0; i < 4; i++ {
-			inst := BuildInstance(m, 3, r.Split())
-			cands = append(cands, inst.Grow(r.Split())...)
+			inst := buildInstanceScratch(m, 3, r.Split(), nil)
+			cands = append(cands, inst.growScratch(r.Split(), nil)...)
 		}
-		kept, _ := ResolveWithinMPC(cands, m, 4)
+		kept, _ := ResolveWithinMPC(cands, m, 4, 0)
 		mc := m.Clone()
 		for _, c := range kept {
 			if err := c.Walk.Apply(mc); err != nil {
@@ -89,7 +89,7 @@ func TestResolveWithinMPCSurvivorsJointlyApplicable(t *testing.T) {
 func TestResolveWithinMPCEmptyInput(t *testing.T) {
 	g := graph.Path(3)
 	m := matching.MustNew(g, graph.UniformBudgets(3, 1))
-	kept, _ := ResolveWithinMPC(nil, m, 4)
+	kept, _ := ResolveWithinMPC(nil, m, 4, 0)
 	if kept != nil {
 		t.Fatal("expected nil for empty input")
 	}
@@ -110,8 +110,8 @@ func TestResolveWithinMPCAgreesWithSequentialOnGain(t *testing.T) {
 			Gain: g.Edges[e].W,
 		})
 	}
-	keptMPC, _ := ResolveWithinMPC(cands, m, 4)
-	keptSeq := ResolveWithin(cands, m, 1, rng.New(1))
+	keptMPC, _ := ResolveWithinMPC(cands, m, 4, 0)
+	keptSeq := ResolveWithin(cands, m, 1, rng.New(1), 1)
 	if len(keptMPC) != 3 || len(keptSeq) != 3 {
 		t.Fatalf("conflict-free input lost candidates: mpc=%d seq=%d",
 			len(keptMPC), len(keptSeq))

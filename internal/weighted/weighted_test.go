@@ -1,6 +1,7 @@
 package weighted
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func TestFigures2And3(t *testing.T) {
 	_, _, m := figureGraph(t)
 	r := rng.New(11)
 	for trial := 0; trial < 50; trial++ {
-		in := BuildInstance(m, 3, r.Split())
+		in := buildInstanceScratch(m, 3, r.Split(), nil)
 		g := m.Graph()
 		for e := 0; e < g.M(); e++ {
 			if m.Contains(int32(e)) {
@@ -101,7 +102,7 @@ func TestFigures2And3(t *testing.T) {
 func TestFigureInstanceOptimum(t *testing.T) {
 	g, b, m := figureGraph(t)
 	_, optW := exact.BruteForce(g, b)
-	res, err := OnePlusEpsWeighted(g, b, m, DefaultParams(0.2), rng.New(3))
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, m, DefaultParams(0.2), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +220,8 @@ func TestGrowCandidatesValidAndDisjoint(t *testing.T) {
 				_ = m.Add(int32(e))
 			}
 		}
-		in := BuildInstance(m, 4, r.Split())
-		cands := in.Grow(r.Split())
+		in := buildInstanceScratch(m, 4, r.Split(), nil)
+		cands := in.growScratch(r.Split(), nil)
 		mc := m.Clone()
 		for _, c := range cands {
 			if c.Gain <= 0 {
@@ -255,7 +256,7 @@ func TestResolveWithinDropsConflicts(t *testing.T) {
 	m := matching.MustNew(g, b)
 	c1 := Candidate{Walk: matching.Walk{EdgeIDs: []int32{0}, Start: 1}, Gain: 1}
 	c2 := Candidate{Walk: matching.Walk{EdgeIDs: []int32{1}, Start: 2}, Gain: 1}
-	kept := ResolveWithin([]Candidate{c1, c2}, m, 1, rng.New(1))
+	kept := ResolveWithin([]Candidate{c1, c2}, m, 1, rng.New(1), 1)
 	if len(kept) != 1 {
 		t.Fatalf("kept %d, want 1", len(kept))
 	}
@@ -268,7 +269,7 @@ func TestResolveWithinSampling(t *testing.T) {
 	keptCount := 0
 	r := rng.New(5)
 	for i := 0; i < 1000; i++ {
-		if len(ResolveWithin([]Candidate{c}, m, 0.3, r.Split())) == 1 {
+		if len(ResolveWithin([]Candidate{c}, m, 0.3, r.Split(), 1)) == 1 {
 			keptCount++
 		}
 	}
@@ -331,7 +332,7 @@ func TestWeightedDriverSmallOptimum(t *testing.T) {
 		g := graph.GnmWeighted(9, 14, 0.5, 4, r.Split())
 		b := graph.RandomBudgets(9, 1, 2, r.Split())
 		_, optW := exact.BruteForce(g, b)
-		res, err := OnePlusEpsWeighted(g, b, nil, DefaultParams(0.2), r.Split())
+		res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, DefaultParams(0.2), r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +356,7 @@ func TestWeightedDriverBipartite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnePlusEpsWeighted(g, b, nil, DefaultParams(0.25), r.Split())
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, DefaultParams(0.25), r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestWeightedDriverNeverDecreases(t *testing.T) {
 		r := rng.New(seed)
 		g := graph.GnmWeighted(12, 30, 0.5, 3, r.Split())
 		b := graph.RandomBudgets(12, 1, 2, r.Split())
-		res, err := OnePlusEpsWeighted(g, b, nil,
+		res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil,
 			Params{Eps: 0.5, Batch: 2, Retries: 2, MaxRetries: 8, MaxRounds: 20}, r.Split())
 		if err != nil {
 			return false
@@ -388,7 +389,7 @@ func TestWeightedDriverFixesGreedyTrap(t *testing.T) {
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 3},
 	})
 	b := graph.UniformBudgets(4, 1)
-	res, err := OnePlusEpsWeighted(g, b, nil, DefaultParams(0.2), rng.New(9))
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, DefaultParams(0.2), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

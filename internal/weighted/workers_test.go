@@ -1,6 +1,7 @@
 package weighted
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -22,7 +23,7 @@ func TestOnePlusEpsWeightedDeterministicAcrossWorkers(t *testing.T) {
 		b := graph.RandomBudgets(50, 1, 3, r.Split())
 		params := DefaultParams(0.5)
 		params.Workers = workers
-		res, err := OnePlusEpsWeighted(g, b, nil, params, r.Split())
+		res, err := OnePlusEpsWeightedCtx(context.Background(), g, b, nil, params, r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +66,9 @@ func TestResolveWithinMPCWorkersMatchesDefault(t *testing.T) {
 			Gain: float64(1 + r.Intn(3)),
 		})
 	}
-	ref, refStats := ResolveWithinMPCWorkers(cands, m, 8, 1)
+	ref, refStats := ResolveWithinMPC(cands, m, 8, 1)
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		got, gotStats := ResolveWithinMPCWorkers(cands, m, 8, workers)
+		got, gotStats := ResolveWithinMPC(cands, m, 8, workers)
 		if gotStats != refStats {
 			t.Fatalf("workers=%d: stats %+v != %+v", workers, gotStats, refStats)
 		}
@@ -102,7 +103,7 @@ func TestResolveWithinWorkersBitIdentical(t *testing.T) {
 		}
 	}
 	run := func(workers int) []Candidate {
-		return ResolveWithinWorkers(cands, m, 0.6, rng.New(3), workers)
+		return ResolveWithin(cands, m, 0.6, rng.New(3), workers)
 	}
 	want := run(1)
 	if len(want) == 0 {

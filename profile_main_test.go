@@ -1,6 +1,7 @@
 package bmatch
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestProfileWeightedDriver(t *testing.T) {
 	}
 	r := rng.New(7)
 	g, b := graph.ClientServer(2000, 60, 6, 3, 40, r.Split())
-	if _, err := MaxWeight(g, b, Options{Seed: 1, Eps: 0.25}); err != nil {
+	if _, err := Solve(context.Background(), g, b, Request{Algo: AlgoMaxWeight, Seed: 1, Eps: 0.25}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -94,7 +94,11 @@ type Request struct {
 	Progress func(Progress)
 }
 
-// Validate checks the request without running it.
+// Validate checks the request without running it. Eps must be zero (keep
+// the default of 0.25) or lie in (0, 1); negative, NaN, Inf, and ≥ 1
+// values are rejected so they cannot reach the drivers. The ε contract
+// lives in engine.ValidateEps, below the transport, shared with the
+// bmatchd request boundary.
 func (r Request) Validate() error {
 	_, err := r.spec()
 	return err
@@ -168,9 +172,8 @@ type Report struct {
 // so a Solve here, a Session.Solve, and an HTTP request with the same
 // (graph, Request) return bit-identical results. ctx cancellation and
 // deadlines are honored at every solver checkpoint; a cancelled solve
-// returns ctx's error and nothing partial. The legacy entry-point matrix
-// (Approx, Max, MaxWeight, ApproxFractional and their Ctx/Session
-// variants) delegates here.
+// returns ctx's error and nothing partial, so re-running it is always
+// safe.
 func Solve(ctx context.Context, g *Graph, b Budgets, req Request) (*Report, error) {
 	spec, err := req.spec()
 	if err != nil {

@@ -31,116 +31,14 @@ func sameEdges(tb testing.TB, label string, want, got []int32) {
 	}
 }
 
-// TestSolveMatchesLegacyMatrix is the acceptance criterion for the unified
-// API: every legacy facade entry point and the unified Solve path return
-// bit-identical results per seed — which must hold by construction, since
-// the legacy matrix now delegates to Solve.
-func TestSolveMatchesLegacyMatrix(t *testing.T) {
-	g, b := testGraph(t)
-
-	for _, seed := range []int64{1, 7} {
-		opts := Options{Seed: seed, Eps: 0.25}
-
-		t.Run("approx", func(t *testing.T) {
-			m, stats, err := Approx(g, b, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoApprox, Eps: 0.25, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEdges(t, "approx", m.Edges(), rep.M.Edges())
-			if *stats != *rep.Stats {
-				t.Fatalf("stats diverged: %+v vs %+v", rep.Stats, stats)
-			}
-		})
-
-		t.Run("max", func(t *testing.T) {
-			m, err := Max(g, b, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoMax, Eps: 0.25, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEdges(t, "max", m.Edges(), rep.M.Edges())
-		})
-
-		t.Run("maxw", func(t *testing.T) {
-			m, err := MaxWeight(g, b, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Algo left empty: maxw is the unified default.
-			rep, err := Solve(context.Background(), g, b, Request{Eps: 0.25, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Algo != AlgoMaxWeight {
-				t.Fatalf("empty Algo resolved to %q", rep.Algo)
-			}
-			sameEdges(t, "maxw", m.Edges(), rep.M.Edges())
-		})
-
-		t.Run("frac", func(t *testing.T) {
-			fr, err := ApproxFractional(g, b, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoFrac, Eps: 0.25, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Frac == nil || rep.M != nil {
-				t.Fatalf("frac report shape wrong: %+v", rep)
-			}
-			if fr.Value != rep.Frac.Value || fr.DualBound != rep.Frac.DualBound {
-				t.Fatalf("frac certificates diverged: %v/%v vs %v/%v",
-					rep.Frac.Value, rep.Frac.DualBound, fr.Value, fr.DualBound)
-			}
-			for i := range fr.X {
-				if fr.X[i] != rep.Frac.X[i] {
-					t.Fatalf("frac X diverged at %d", i)
-				}
-			}
-		})
-
-		t.Run("stream", func(t *testing.T) {
-			res, err := StreamMax(NewSliceStream(g), g.N, b, Options{Seed: seed, Eps: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := SolveStream(context.Background(), NewSliceStream(g), g.N, b,
-				Request{Algo: AlgoMax, Eps: 0.5, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEdges(t, "stream", res.EdgeIDs, rep.Stream.EdgeIDs)
-			if res.Passes != rep.Stream.Passes || res.PeakWords != rep.Stream.PeakWords {
-				t.Fatalf("stream observables diverged: %+v vs %+v", rep.Stream, res)
-			}
-
-			wres, err := StreamMaxWeight(NewSliceStream(g), g.N, b, Options{Seed: seed, Eps: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wrep, err := SolveStream(context.Background(), NewSliceStream(g), g.N, b,
-				Request{Algo: AlgoMaxWeight, Eps: 0.5, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEdges(t, "streamw", wres.EdgeIDs, wrep.Stream.EdgeIDs)
-		})
-	}
-}
-
 // TestSolveGreedyExposed: the greedy baseline is reachable through the
 // unified facade and matches the internal implementation bit for bit.
 func TestSolveGreedyExposed(t *testing.T) {
 	g, b := testGraph(t)
-	want := baseline.GreedyWeighted(g, b)
+	want, err := baseline.GreedyWeightedCtx(context.Background(), g, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Solve(context.Background(), g, b, Request{Algo: AlgoGreedy})
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +51,18 @@ func TestSolveGreedyExposed(t *testing.T) {
 
 // TestSessionSolveMatchesOneShot: the session-aware unified path returns
 // the same plans as the one-shot path, serves repeats from cache, and
-// honors NoCache.
+// honors NoCache. An empty Algo resolves to maxw, and a frac Report
+// carries Frac instead of M.
 func TestSessionSolveMatchesOneShot(t *testing.T) {
 	g, b := testGraph(t)
-	req := Request{Algo: AlgoMaxWeight, Eps: 0.25, Seed: 11}
+	req := Request{Eps: 0.25, Seed: 11}
 
 	want, err := Solve(context.Background(), g, b, req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.Algo != AlgoMaxWeight {
+		t.Fatalf("empty Algo resolved to %q", want.Algo)
 	}
 	s := NewSession()
 	first, err := s.Solve(context.Background(), g, b, req)
@@ -195,6 +97,9 @@ func TestSessionSolveMatchesOneShot(t *testing.T) {
 	fwant, err := Solve(context.Background(), g, b, Request{Algo: AlgoFrac, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fwant.Frac == nil || fwant.M != nil {
+		t.Fatalf("frac report shape wrong: %+v", fwant)
 	}
 	fgot, err := s.Solve(context.Background(), g, b, Request{Algo: AlgoFrac, Seed: 3})
 	if err != nil {
@@ -256,8 +161,8 @@ func TestSolveProgress(t *testing.T) {
 	}
 }
 
-// TestSolveValidation: the unified path rejects what the legacy matrix
-// rejected, before any work happens.
+// TestSolveValidation: the unified path rejects invalid requests and
+// inputs before any work happens.
 func TestSolveValidation(t *testing.T) {
 	g, b := testGraph(t)
 	if _, err := Solve(context.Background(), g, b, Request{Algo: "nope"}); err == nil {
@@ -277,16 +182,15 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
-// TestStreamCtxCancel: the new streaming Ctx variants abort on an
-// already-cancelled context.
+// TestStreamCtxCancel: SolveStream aborts on an already-cancelled context
+// for both streaming algorithms.
 func TestStreamCtxCancel(t *testing.T) {
 	g, b := testGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := StreamMaxCtx(ctx, NewSliceStream(g), g.N, b, Options{Eps: 0.5}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StreamMaxCtx: %v, want context.Canceled", err)
-	}
-	if _, err := StreamMaxWeightCtx(ctx, NewSliceStream(g), g.N, b, Options{Eps: 0.5}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StreamMaxWeightCtx: %v, want context.Canceled", err)
+	for _, algo := range []Algo{AlgoMax, AlgoMaxWeight} {
+		if _, err := SolveStream(ctx, NewSliceStream(g), g.N, b, Request{Algo: algo, Eps: 0.5}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("SolveStream %s: %v, want context.Canceled", algo, err)
+		}
 	}
 }
