@@ -57,8 +57,8 @@ const hugeKernelM = 100_000_000
 // kernelScalingGraph builds the m-edge scaling instance. Sizes through 10^7
 // use the in-memory generator; the 10^8 point would pay dearly for its
 // dedup set, so it exercises the big-instance pipeline end to end instead —
-// streaming generation into a BMG1 file, then the two-pass streaming
-// ingest that never materializes more than the final CSR.
+// streaming generation into a BMG1 file, then ReadFile's windowed one-pass
+// ingest, which never holds the file in memory.
 func kernelScalingGraph(b *testing.B, m int) *graph.Graph {
 	n := m / 10
 	r := rng.New(15)

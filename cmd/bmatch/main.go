@@ -100,7 +100,7 @@ func main() {
 	fmt.Printf("instance: n=%d m=%d d̄=%.1f Σb=%d\n", g.N, g.M(), g.AvgDeg(), b.Sum())
 
 	if *convertFlag != "" {
-		payload := graphio.AppendBinary(g, b)
+		payload := graphio.AppendBinaryTo(nil, g, b)
 		if err := os.WriteFile(*convertFlag, payload, 0o644); err != nil {
 			fail(err)
 		}

@@ -73,7 +73,7 @@ func main() {
 	)
 	r := rng.New(7)
 	g, b := graph.ClientServer(clients, servers, 6, 3, 40, r.Split())
-	payload := graphio.AppendBinary(g, b)
+	payload := graphio.AppendBinaryTo(nil, g, b)
 	fmt.Printf("allocation instance: %d clients, %d servers, %d candidate assignments (%d-byte wire payload)\n",
 		clients, servers, g.M(), len(payload))
 	fmt.Printf("total server capacity = %d, total client demand = %d\n",

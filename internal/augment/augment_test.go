@@ -53,74 +53,6 @@ func TestCompressDropsZeroBudget(t *testing.T) {
 	}
 }
 
-func buildMatched(t *testing.T, seed int64, n, m, bmax int) *matching.BMatching {
-	t.Helper()
-	r := rng.New(seed)
-	g := graph.Gnm(n, m, r.Split())
-	b := graph.RandomBudgets(n, 1, bmax, r.Split())
-	mm := matching.MustNew(g, b)
-	for e := 0; e < g.M(); e++ {
-		if mm.CanAdd(int32(e)) {
-			_ = mm.Add(int32(e))
-		}
-	}
-	return mm
-}
-
-func TestAssignSlotsValid(t *testing.T) {
-	m := buildMatched(t, 1, 40, 200, 3)
-	sa := AssignSlots(m)
-	checkSlots(t, m, sa)
-}
-
-func TestAssignSlotsMPCMatchesLocal(t *testing.T) {
-	m := buildMatched(t, 2, 40, 200, 3)
-	local := AssignSlots(m)
-	dist, stats := AssignSlotsMPC(m, 4, 0)
-	checkSlots(t, m, dist)
-	g := m.Graph()
-	for e := 0; e < g.M(); e++ {
-		if local.SlotU[e] != dist.SlotU[e] || local.SlotV[e] != dist.SlotV[e] {
-			t.Fatalf("edge %d: local (%d,%d) vs MPC (%d,%d)",
-				e, local.SlotU[e], local.SlotV[e], dist.SlotU[e], dist.SlotV[e])
-		}
-	}
-	if stats.Rounds == 0 || stats.Rounds > 6 {
-		t.Fatalf("Lemma 4.7 should cost O(1) rounds, used %d", stats.Rounds)
-	}
-}
-
-// checkSlots verifies the Section 4.2 requirement: slots in range, and no
-// copy receives two matched edges.
-func checkSlots(t *testing.T, m *matching.BMatching, sa SlotAssignment) {
-	t.Helper()
-	g := m.Graph()
-	b := m.Budgets()
-	used := map[[2]int32]bool{}
-	for e := 0; e < g.M(); e++ {
-		if !m.Contains(int32(e)) {
-			if sa.SlotU[e] != -1 || sa.SlotV[e] != -1 {
-				t.Fatalf("unmatched edge %d has slots", e)
-			}
-			continue
-		}
-		ed := g.Edges[e]
-		if sa.SlotU[e] < 0 || int(sa.SlotU[e]) >= b[ed.U] {
-			t.Fatalf("edge %d slotU %d out of range b=%d", e, sa.SlotU[e], b[ed.U])
-		}
-		if sa.SlotV[e] < 0 || int(sa.SlotV[e]) >= b[ed.V] {
-			t.Fatalf("edge %d slotV %d out of range b=%d", e, sa.SlotV[e], b[ed.V])
-		}
-		ku := [2]int32{ed.U, sa.SlotU[e]}
-		kv := [2]int32{ed.V, sa.SlotV[e]}
-		if used[ku] || used[kv] {
-			t.Fatalf("copy reused at edge %d", e)
-		}
-		used[ku] = true
-		used[kv] = true
-	}
-}
-
 // TestHConstructionAugmentsToOptimum is the structural theorem of Section
 // 4.2 in executable form: for a greedy M and brute-force optimum M*, the
 // H-graph's augmenting walks applied to M reach |M*|.
@@ -146,6 +78,7 @@ func TestHConstructionAugmentsToOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkBPrime(t, h, m, mstar)
 		walks := h.AugmentingWalks(m)
 		if len(walks) != optSize-m.Size() {
 			t.Fatalf("seed %d: %d augmenting walks for gap %d", seed, len(walks), optSize-m.Size())
@@ -160,6 +93,38 @@ func TestHConstructionAugmentsToOptimum(t *testing.T) {
 		}
 		if err := m.Validate(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// checkBPrime checks H's copy budgets against Section 4.2's definition —
+// b'_v is the larger of v's degrees in M∩Mdiff and M*∩Mdiff, counted here
+// by a sweep over the edge list — and that every H-edge uses a copy below
+// b'_v at both ends.
+func checkBPrime(t *testing.T, h *HGraph, m, mstar *matching.BMatching) {
+	t.Helper()
+	g := m.Graph()
+	degM := make([]int32, g.N)
+	degS := make([]int32, g.N)
+	for e := int32(0); int(e) < g.M(); e++ {
+		if m.Contains(e) == mstar.Contains(e) {
+			continue
+		}
+		deg := degS
+		if m.Contains(e) {
+			deg = degM
+		}
+		deg[g.Edges[e].U]++
+		deg[g.Edges[e].V]++
+	}
+	for v := range degM {
+		if want := max(degM[v], degS[v]); h.BPrime[v] != want {
+			t.Fatalf("BPrime[%d] = %d, want %d", v, h.BPrime[v], want)
+		}
+	}
+	for _, he := range h.Edges {
+		if he.CU.Idx >= h.BPrime[he.CU.V] || he.CV.Idx >= h.BPrime[he.CV.V] {
+			t.Fatalf("H-edge %+v uses a copy beyond b'", he)
 		}
 	}
 }

@@ -111,6 +111,7 @@ func TestHConstructionWithSharedEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBPrime(t, h, m, mstar)
 	walks := h.AugmentingWalks(m)
 	for _, w := range walks {
 		if err := w.Apply(m); err != nil {

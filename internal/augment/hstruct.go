@@ -10,13 +10,8 @@ import (
 	"fmt"
 
 	"repro/internal/matching"
-	"repro/internal/par"
 	"repro/internal/scratch"
 )
-
-// hDegreeGrain is the incident-edge work per vertex block of BuildH's
-// degree gather; a variable so the fusion harness can shrink it.
-var hDegreeGrain = 1 << 14
 
 // HEdge is an edge of H between two copies; FromM says whether it came from
 // M (versus M*).
@@ -50,41 +45,11 @@ func BuildH(m, mstar *matching.BMatching) (*HGraph, error) {
 	ar, done := scratch.Borrow(nil)
 	defer done()
 
-	// b'_v by a fused per-vertex gather over Incident(v): counting an edge
-	// once per endpoint via the incidence lists visits the same (edge,
-	// endpoint) pairs as the old edge sweep did, so the counts are equal —
-	// and the max fuses into the same pass with no degree arrays at all.
-	// Degree-balanced blocks keep skewed instances from serializing behind
-	// their hub vertices.
-	h := &HGraph{BPrime: make([]int32, n)}
-	vb := g.DegreeBlocks(hDegreeGrain, ar.I32Raw(2*g.M()/hDegreeGrain + 3)[:0])
-	//lint:parallel blocks write disjoint BPrime ranges; each vertex's count reads only the matchings and its own incidence list
-	par.ParallelForBlocks(0, len(vb)-1, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			for v := vb[b]; v < vb[b+1]; v++ {
-				var dm, ds int32
-				for _, e := range g.Incident(v) {
-					if !inDiff(e) {
-						continue
-					}
-					if m.Contains(e) {
-						dm++
-					} else {
-						ds++
-					}
-				}
-				if ds > dm {
-					dm = ds
-				}
-				h.BPrime[v] = dm
-			}
-		}
-	})
-
 	// Step (B)/(C): number each side's edges per vertex; the i-th M-edge of
 	// v goes to copy i, and independently the i-th M*-edge goes to copy i.
 	// Both numberings fit inside b'_v, and no copy sees two edges from the
 	// same side.
+	h := &HGraph{BPrime: make([]int32, n)}
 	nextM := ar.I32(n)
 	nextStar := ar.I32(n)
 	for e := 0; e < g.M(); e++ {
@@ -106,6 +71,10 @@ func BuildH(m, mstar *matching.BMatching) (*HGraph, error) {
 			nextStar[ed.V]++
 		}
 		h.Edges = append(h.Edges, HEdge{CU: cu, CV: cv, E: int32(e), FromM: fromM})
+	}
+	// The cursors end at each side's degree in M △ M*.
+	for v := range h.BPrime {
+		h.BPrime[v] = max(nextM[v], nextStar[v])
 	}
 	return h, nil
 }

@@ -21,7 +21,7 @@ func BenchmarkSolvePerRequest(b *testing.B) {
 	r := rng.New(3)
 	g := graph.GnmWeighted(20000, 200000, 1, 10, r.Split())
 	bud := graph.RandomBudgets(20000, 1, 4, r.Split())
-	payload := graphio.AppendBinary(g, bud)
+	payload := graphio.AppendBinaryTo(nil, g, bud)
 	ctx := context.Background()
 	// The greedy solver keeps per-iteration solver cost small relative to
 	// ingest, which is what the serving layer can actually save; the reuse
@@ -31,7 +31,7 @@ func BenchmarkSolvePerRequest(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			gg, bb, err := graphio.DecodeAny(payload)
+			gg, bb, err := graphio.DecodeAnyLimits(payload, graphio.Limits{})
 			if err != nil {
 				b.Fatal(err)
 			}

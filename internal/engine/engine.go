@@ -97,13 +97,11 @@ type Spec struct {
 	ValueMode string
 	// MPCTransport selects the MPC simulator's delivery backend for the
 	// fractional compression supersteps — the simulator core of approx and
-	// frac. Nil is the in-process pipeline; a non-nil factory (e.g. a
-	// *mpctransport.Dialer configured by the daemon's -mpc-workers flag)
-	// ships those supersteps to external worker processes. The auxiliary
-	// MPC-modeled phases (augment's slot assignment under max, weighted's
-	// conflict resolution under maxw) always run in-process: their payloads
-	// are arbitrary Go structs that the wire codec's closed type set
-	// deliberately does not carry, so the factory is not plumbed there.
+	// frac, and of max's Θ(1) start. Nil is the in-process pipeline; a
+	// non-nil factory (e.g. a *mpctransport.Dialer configured by the
+	// daemon's -mpc-workers flag) ships those supersteps to external worker
+	// processes. The augmentation phases of max and maxw run on no
+	// simulator at all: their MPC round counts are EstMPCRounds estimates.
 	// Implementations must be comparable — use a pointer — because the
 	// pool coalesces identical Specs by equality. Backends are
 	// bit-identical by contract, so like Workers this is not part of the

@@ -16,7 +16,7 @@ func testInstancePayload(tb testing.TB) (*graph.Graph, graph.Budgets, []byte) {
 	tb.Helper()
 	r := rng.New(7)
 	g, b := graph.ClientServer(160, 10, 5, 3, 20, r.Split())
-	return g, b, graphio.AppendBinary(g, b)
+	return g, b, graphio.AppendBinaryTo(nil, g, b)
 }
 
 // TestQueueFull pins the bounded-admission contract at the Pool level: with

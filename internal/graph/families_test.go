@@ -18,7 +18,7 @@ import (
 // instanceHash is the canonical content hash of an instance: sha256 over
 // the BMG1 encoding — the same bytes the engine's instance cache keys on.
 func instanceHash(g *graph.Graph, b graph.Budgets) string {
-	sum := sha256.Sum256(graphio.AppendBinary(g, b))
+	sum := sha256.Sum256(graphio.AppendBinaryTo(nil, g, b))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -48,44 +48,33 @@ type Graph struct {
 }
 
 // New returns a graph with n vertices and the given edges. The adjacency
-// index is built immediately. It returns an error if any edge is a
-// self-loop, has an endpoint out of range, or has a negative weight.
+// index is built immediately. It returns CheckEdge's error for the first
+// invalid edge.
 func New(n int, edges []Edge) (*Graph, error) {
-	g := &Graph{N: n, Edges: edges}
 	for i, e := range edges {
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: edge %d is a self-loop at vertex %d", i, e.U)
-		}
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge %d = {%d,%d} out of range for n=%d", i, e.U, e.V, n)
-		}
-		if e.W < 0 || math.IsNaN(e.W) || math.IsInf(e.W, 0) {
-			return nil, fmt.Errorf("graph: edge %d has invalid weight %v", i, e.W)
+		if err := CheckEdge(n, i, e); err != nil {
+			return nil, err
 		}
 	}
+	g := &Graph{N: n, Edges: edges}
 	g.buildAdj()
 	return g, nil
 }
 
-// NewFromCSR adopts edges together with an already-built CSR adjacency
-// index instead of rebuilding one. graphio's streaming BMG1 loader fills
-// the index during its second pass over the input, so a 10^8-edge instance
-// decodes without buildAdj's extra counting pass or edge-slice copy. The
-// caller must have validated the edges (endpoint range, self-loops,
-// weights) and built the index in exactly the canonical layout — adjStart
-// is the prefix-degree scan and each vertex's incident ids appear in
-// ascending edge-id order; only the index's shape is checked here.
-func NewFromCSR(n int, edges []Edge, adjStart, adjEdges []int32) (*Graph, error) {
-	if len(adjStart) != n+1 {
-		return nil, fmt.Errorf("graph: adjStart has %d entries, want n+1 = %d", len(adjStart), n+1)
+// CheckEdge returns an error if e, as edge i of an n-vertex graph, is a
+// self-loop, has an endpoint out of range, or has a negative, NaN or
+// infinite weight.
+func CheckEdge(n, i int, e Edge) error {
+	if e.U == e.V {
+		return fmt.Errorf("graph: edge %d is a self-loop at vertex %d", i, e.U)
 	}
-	if len(adjEdges) != 2*len(edges) {
-		return nil, fmt.Errorf("graph: adjEdges has %d entries, want 2m = %d", len(adjEdges), 2*len(edges))
+	if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+		return fmt.Errorf("graph: edge %d = {%d,%d} out of range for n=%d", i, e.U, e.V, n)
 	}
-	if adjStart[0] != 0 || int(adjStart[n]) != 2*len(edges) {
-		return nil, fmt.Errorf("graph: adjStart is not a prefix-degree scan (ends %d..%d, want 0..%d)", adjStart[0], adjStart[n], 2*len(edges))
+	if e.W < 0 || math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+		return fmt.Errorf("graph: edge %d has invalid weight %v", i, e.W)
 	}
-	return &Graph{N: n, Edges: edges, adjStart: adjStart, adjEdges: adjEdges}, nil
+	return nil
 }
 
 // MustNew is New that panics on error; for use in tests and generators that

@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/graph"
@@ -18,33 +20,39 @@ func benchInstance(tb testing.TB) (*graph.Graph, graph.Budgets) {
 	return g, b
 }
 
+// BenchmarkIngest1MEdges times each read entry point on one instance: text
+// and BMG1 request bodies through DecodeAnyLimits, and the same BMG1 bytes
+// from a file through ReadFile.
 func BenchmarkIngest1MEdges(b *testing.B) {
 	g, bud := benchInstance(b)
-	var txt, bin bytes.Buffer
+	var txt bytes.Buffer
 	if err := Write(&txt, g, bud); err != nil {
 		b.Fatal(err)
 	}
-	if err := WriteBinary(&bin, g, bud); err != nil {
+	bin := AppendBinaryTo(nil, g, bud)
+	path := filepath.Join(b.TempDir(), "ingest.bmg")
+	if err := os.WriteFile(path, bin, 0o644); err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("text %0.1f MB, binary %0.1f MB", float64(txt.Len())/1e6, float64(bin.Len())/1e6)
+	b.Logf("text %0.1f MB, binary %0.1f MB", float64(txt.Len())/1e6, float64(len(bin))/1e6)
 
-	b.Run("text", func(b *testing.B) {
-		b.SetBytes(int64(txt.Len()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeAny(txt.Bytes()); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		size int
+		read func() (*graph.Graph, graph.Budgets, error)
+	}{
+		{"text", txt.Len(), func() (*graph.Graph, graph.Budgets, error) { return DecodeAnyLimits(txt.Bytes(), Limits{}) }},
+		{"binary", len(bin), func() (*graph.Graph, graph.Budgets, error) { return DecodeAnyLimits(bin, Limits{}) }},
+		{"file", len(bin), func() (*graph.Graph, graph.Budgets, error) { return ReadFile(path) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(tc.size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tc.read(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.SetBytes(int64(bin.Len()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeAny(bin.Bytes()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

@@ -15,11 +15,16 @@
 //
 // Trailing bytes after the last edge are an error, so truncation and
 // concatenation bugs surface instead of silently shortening instances.
+//
+// decodeBinary is the format's one decoder: DecodeAnyLimits and
+// DecodeBinary run it over a payload in place, ReadFile over a window
+// sliding along the file. AppendBinaryTo and BinaryWriter emit the same
+// bytes for the same instance.
+
 package graphio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -33,15 +38,15 @@ const BinaryMagic = "BMG1"
 
 const flagWeighted = 1 << 0
 
-// WriteBinary serializes g and b (b may be nil) in the binary format.
-func WriteBinary(w io.Writer, g *graph.Graph, b graph.Budgets) error {
-	_, err := w.Write(AppendBinaryTo(nil, g, b))
-	return err
-}
+// maxRecord bounds the encoded size of one edge record: two varints of at
+// most binary.MaxVarintLen64 bytes each (binary.Uvarint never reads past
+// that) and a weight.
+const maxRecord = 2*binary.MaxVarintLen64 + 8
 
-// AppendBinaryTo appends the binary encoding of g and b to dst and returns
-// the extended slice. Passing a reused dst[:0] makes repeated encodes
-// allocation-free once the buffer has grown; sessions rely on this.
+// AppendBinaryTo appends the binary encoding of g and b (b may be nil) to
+// dst and returns the extended slice. Passing a reused dst[:0] makes
+// repeated encodes allocation-free once the buffer has grown; sessions
+// rely on this.
 func AppendBinaryTo(dst []byte, g *graph.Graph, b graph.Budgets) []byte {
 	weighted := false
 	for _, e := range g.Edges {
@@ -95,91 +100,123 @@ func AppendBinaryTo(dst []byte, g *graph.Graph, b graph.Budgets) []byte {
 	return buf
 }
 
-// AppendBinary returns the binary encoding of g and b as a fresh byte slice.
-func AppendBinary(g *graph.Graph, b graph.Budgets) []byte {
-	return AppendBinaryTo(nil, g, b)
+// DecodeBinary parses a graph and budgets from an in-memory binary-format
+// buffer, with no resource limits.
+func DecodeBinary(data []byte) (*graph.Graph, graph.Budgets, error) {
+	return decodeBinary(nil, int64(len(data)), data, Limits{})
 }
 
-// binDecoder decodes varints from an in-memory buffer with bounds checks.
-type binDecoder struct {
-	data []byte
+// window is decodeBinary's view of its input: buf holds the input bytes
+// [base, base+len(buf)) and pos is the next unread byte of buf. Error
+// offsets are input offsets, so an input fails with the same message
+// whatever the window size.
+type window struct {
+	src  io.ReaderAt // nil when buf is the whole input
+	size int64       // input length
+	base int64
+	buf  []byte
 	pos  int
 }
 
-func (d *binDecoder) uvarint(what string) (uint64, error) {
-	x, k := binary.Uvarint(d.data[d.pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("graphio: truncated or malformed %s at byte %d", what, d.pos)
+func (w *window) off() int64 { return w.base + int64(w.pos) }
+
+// fill slides the window forward over src and refills it to its capacity
+// or to the end of the input, so the field or edge record about to be read
+// never straddles the window's end. Callers test the window's length
+// first, which keeps the cost per read one comparison.
+func (w *window) fill() error {
+	if w.base+int64(len(w.buf)) == w.size {
+		return nil
 	}
-	d.pos += k
+	kept := copy(w.buf[:cap(w.buf)], w.buf[w.pos:])
+	w.base += int64(w.pos)
+	w.pos = 0
+	end := int(min(int64(cap(w.buf)), w.size-w.base))
+	got, err := w.src.ReadAt(w.buf[kept:end], w.base+int64(kept))
+	if got < end-kept {
+		return fmt.Errorf("graphio: read at byte %d: %w", w.base+int64(kept+got), err)
+	}
+	w.buf = w.buf[:end]
+	return nil
+}
+
+func (w *window) uvarint(what string) (uint64, error) {
+	// binary.Uvarint reads at most MaxVarintLen64 bytes.
+	if len(w.buf)-w.pos < binary.MaxVarintLen64 {
+		if err := w.fill(); err != nil {
+			return 0, err
+		}
+	}
+	x, k := binary.Uvarint(w.buf[w.pos:])
+	if k <= 0 {
+		return 0, fmt.Errorf("graphio: truncated or malformed %s at byte %d", what, w.off())
+	}
+	w.pos += k
 	return x, nil
 }
 
-func (d *binDecoder) float64(what string) (float64, error) {
-	if d.pos+8 > len(d.data) {
-		return 0, fmt.Errorf("graphio: truncated %s at byte %d", what, d.pos)
+// edge decodes record i, an edge with its weight when the stream is
+// weighted (1 otherwise). The record's fields are decoded from a local
+// slice, so the per-edge path makes no further calls.
+func (w *window) edge(i int, weighted bool) (graph.Edge, error) {
+	if len(w.buf)-w.pos < maxRecord {
+		if err := w.fill(); err != nil {
+			return graph.Edge{}, err
+		}
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v, nil
+	rec := w.buf[w.pos:]
+	u, k := binary.Uvarint(rec)
+	if k <= 0 {
+		return graph.Edge{}, fmt.Errorf("graphio: truncated or malformed edge endpoint at byte %d", w.off())
+	}
+	v, kv := binary.Uvarint(rec[k:])
+	if kv <= 0 {
+		return graph.Edge{}, fmt.Errorf("graphio: truncated or malformed edge endpoint at byte %d", w.off()+int64(k))
+	}
+	k += kv
+	if u > math.MaxInt32 || v > math.MaxInt32 {
+		return graph.Edge{}, fmt.Errorf("graphio: edge %d endpoint exceeds int32", i)
+	}
+	e := graph.Edge{U: int32(u), V: int32(v), W: 1}
+	if weighted {
+		if len(rec)-k < 8 {
+			return graph.Edge{}, fmt.Errorf("graphio: truncated edge weight at byte %d", w.off()+int64(k))
+		}
+		e.W = math.Float64frombits(binary.LittleEndian.Uint64(rec[k:]))
+		k += 8
+	}
+	w.pos += k
+	return e, nil
 }
 
-// Limits bounds what a decoder will accept. Zero fields are unlimited.
-// Network-facing callers (bmatchd) must set them: the formats declare
-// vertex counts up front, so without a bound an 11-byte hostile payload
-// can demand multi-gigabyte allocations before validation can fail.
-type Limits struct {
-	MaxVertices int
-	MaxEdges    int
-}
-
-func (l Limits) checkN(n int) error {
-	if l.MaxVertices > 0 && n > l.MaxVertices {
-		return fmt.Errorf("graphio: vertex count %d exceeds limit %d", n, l.MaxVertices)
+// decodeBinary is the one BMG1 decoder. It reads an input of size bytes:
+// with src nil, win is the whole input and is decoded in place; otherwise
+// win is scratch (capacity at least maxRecord, or size) that holds a
+// sliding window over src. Limits are enforced before any count-sized
+// allocation. Every edge record is decoded in one pass into the edge slice
+// that graph.New validates and indexes.
+func decodeBinary(src io.ReaderAt, size int64, win []byte, lim Limits) (*graph.Graph, graph.Budgets, error) {
+	if size < int64(len(BinaryMagic))+1 {
+		return nil, nil, fmt.Errorf("graphio: binary input too short (%d bytes)", size)
 	}
-	return nil
-}
-
-func (l Limits) checkM(m int) error {
-	if l.MaxEdges > 0 && m > l.MaxEdges {
-		return fmt.Errorf("graphio: edge count %d exceeds limit %d", m, l.MaxEdges)
+	w := window{src: src, size: size, buf: win}
+	if src != nil {
+		w.buf = win[:0]
+		if err := w.fill(); err != nil {
+			return nil, nil, err
+		}
 	}
-	return nil
-}
-
-// ReadBinary parses a graph and budgets from the binary format.
-func ReadBinary(r io.Reader) (*graph.Graph, graph.Budgets, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
+	if string(w.buf[:len(BinaryMagic)]) != BinaryMagic {
+		return nil, nil, fmt.Errorf("graphio: bad magic %q (want %q)", w.buf[:len(BinaryMagic)], BinaryMagic)
 	}
-	return DecodeBinary(data)
-}
-
-// DecodeBinary parses a graph and budgets from an in-memory binary-format
-// buffer. This is the zero-copy ingest path bmatchd uses for request
-// bodies.
-func DecodeBinary(data []byte) (*graph.Graph, graph.Budgets, error) {
-	return DecodeBinaryLimits(data, Limits{})
-}
-
-// DecodeBinaryLimits is DecodeBinary with resource bounds enforced before
-// any count-sized allocation happens.
-func DecodeBinaryLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, error) {
-	if len(data) < len(BinaryMagic)+1 {
-		return nil, nil, fmt.Errorf("graphio: binary input too short (%d bytes)", len(data))
-	}
-	if string(data[:len(BinaryMagic)]) != BinaryMagic {
-		return nil, nil, fmt.Errorf("graphio: bad magic %q (want %q)", data[:len(BinaryMagic)], BinaryMagic)
-	}
-	flags := data[len(BinaryMagic)]
+	flags := w.buf[len(BinaryMagic)]
 	if flags&^flagWeighted != 0 {
 		return nil, nil, fmt.Errorf("graphio: unknown flag bits %#x", flags&^flagWeighted)
 	}
 	weighted := flags&flagWeighted != 0
-	d := &binDecoder{data: data, pos: len(BinaryMagic) + 1}
+	w.pos = len(BinaryMagic) + 1
 
-	n64, err := d.uvarint("vertex count")
+	n64, err := w.uvarint("vertex count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +227,7 @@ func DecodeBinaryLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, e
 	if err := lim.checkN(n); err != nil {
 		return nil, nil, err
 	}
-	m64, err := d.uvarint("edge count")
+	m64, err := w.uvarint("edge count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,25 +241,25 @@ func DecodeBinaryLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, e
 	if weighted {
 		minEdge += 8
 	}
-	if m64 > uint64(len(data)-d.pos)/minEdge+1 {
+	if m64 > uint64(size-w.off())/minEdge+1 {
 		return nil, nil, fmt.Errorf("graphio: edge count %d larger than payload allows", m64)
 	}
 	m := int(m64)
 
-	nb, err := d.uvarint("budget count")
+	nb, err := w.uvarint("budget count")
 	if err != nil {
 		return nil, nil, err
 	}
-	if nb > uint64(len(data)-d.pos)/2+1 {
+	if nb > uint64(size-w.off())/2+1 {
 		return nil, nil, fmt.Errorf("graphio: budget count %d larger than payload allows", nb)
 	}
 	b := graph.UniformBudgets(n, 1)
 	for i := uint64(0); i < nb; i++ {
-		v, err := d.uvarint("budget vertex")
+		v, err := w.uvarint("budget vertex")
 		if err != nil {
 			return nil, nil, err
 		}
-		x, err := d.uvarint("budget value")
+		x, err := w.uvarint("budget value")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -236,29 +273,13 @@ func DecodeBinaryLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, e
 	}
 
 	edges := make([]graph.Edge, m)
-	for i := 0; i < m; i++ {
-		u, err := d.uvarint("edge endpoint")
-		if err != nil {
+	for i := range edges {
+		if edges[i], err = w.edge(i, weighted); err != nil {
 			return nil, nil, err
 		}
-		v, err := d.uvarint("edge endpoint")
-		if err != nil {
-			return nil, nil, err
-		}
-		if u > math.MaxInt32 || v > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("graphio: edge %d endpoint exceeds int32", i)
-		}
-		w := 1.0
-		if weighted {
-			w, err = d.float64("edge weight")
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		edges[i] = graph.Edge{U: int32(u), V: int32(v), W: w}
 	}
-	if d.pos != len(data) {
-		return nil, nil, fmt.Errorf("graphio: %d trailing bytes after last edge", len(data)-d.pos)
+	if w.off() != size {
+		return nil, nil, fmt.Errorf("graphio: %d trailing bytes after last edge", size-w.off())
 	}
 	g, err := graph.New(n, edges)
 	if err != nil {
@@ -267,30 +288,111 @@ func DecodeBinaryLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, e
 	return g, b, nil
 }
 
-// ReadAny parses either format, sniffing the binary magic from the first
-// bytes. Callers that hold the input in memory should prefer DecodeAny.
-func ReadAny(r io.Reader) (*graph.Graph, graph.Budgets, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(BinaryMagic))
-	if err != nil && err != io.EOF {
-		return nil, nil, err
-	}
-	if string(head) == BinaryMagic {
-		return ReadBinary(br)
-	}
-	return Read(br)
+// A BinaryWriter emits the binary format incrementally: NewBinaryWriter
+// writes the header and budgets, each Edge call appends one record, and
+// Close verifies the declared edge count was met. Generators use it to
+// write instances edge by edge — the format declares n, m, and the
+// weighted flag up front, which is the price of never buffering the edges.
+// Its output is byte-identical to AppendBinaryTo for the same instance and
+// flag choice.
+type BinaryWriter struct {
+	bw       *bufio.Writer
+	n        int
+	declared int
+	written  int
+	weighted bool
+	err      error
 }
 
-// DecodeAny parses either format from an in-memory buffer.
-func DecodeAny(data []byte) (*graph.Graph, graph.Budgets, error) {
-	return DecodeAnyLimits(data, Limits{})
+// NewBinaryWriter starts a binary-format stream for an n-vertex, m-edge
+// instance with budgets b (nil for all-1). weighted declares whether edge
+// records carry weights; an unweighted stream rejects Edge calls with
+// weight ≠ 1.
+func NewBinaryWriter(w io.Writer, n, m int, b graph.Budgets, weighted bool) (*BinaryWriter, error) {
+	if n < 0 || m < 0 {
+		return nil, fmt.Errorf("graphio: negative instance size n=%d m=%d", n, m)
+	}
+	if len(b) > n {
+		return nil, fmt.Errorf("graphio: budget vector has %d entries for n=%d", len(b), n)
+	}
+	bw := &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<20), n: n, declared: m, weighted: weighted}
+	var flags byte
+	if weighted {
+		flags |= flagWeighted
+	}
+	bw.bw.WriteString(BinaryMagic)
+	bw.bw.WriteByte(flags)
+	bw.uvarint(uint64(n))
+	bw.uvarint(uint64(m))
+	var nb int
+	for _, x := range b {
+		if x != 1 {
+			nb++
+		}
+	}
+	bw.uvarint(uint64(nb))
+	for v, x := range b {
+		if x != 1 {
+			if x < 0 {
+				return nil, fmt.Errorf("graphio: negative budget %d for vertex %d", x, v)
+			}
+			bw.uvarint(uint64(v))
+			bw.uvarint(uint64(x))
+		}
+	}
+	if err := bw.bw.Flush(); err != nil {
+		return nil, err
+	}
+	return bw, nil
 }
 
-// DecodeAnyLimits parses either format with resource bounds. This is the
-// entry point network-facing callers must use.
-func DecodeAnyLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, error) {
-	if len(data) >= len(BinaryMagic) && string(data[:len(BinaryMagic)]) == BinaryMagic {
-		return DecodeBinaryLimits(data, lim)
+func (w *BinaryWriter) uvarint(x uint64) {
+	var buf [binary.MaxVarintLen64]byte
+	w.bw.Write(buf[:binary.PutUvarint(buf[:], x)])
+}
+
+// Edge appends one edge record. It validates the edge with graph.CheckEdge,
+// the check graph.New applies, so every stream this writer completes
+// decodes successfully.
+func (w *BinaryWriter) Edge(u, v int32, wt float64) error {
+	if w.err != nil {
+		return w.err
 	}
-	return readLimits(bytes.NewReader(data), lim)
+	if w.written >= w.declared {
+		w.err = fmt.Errorf("graphio: edge %d exceeds the declared count %d", w.written, w.declared)
+	} else if err := graph.CheckEdge(w.n, w.written, graph.Edge{U: u, V: v, W: wt}); err != nil {
+		w.err = err
+	} else if !w.weighted && wt != 1 {
+		w.err = fmt.Errorf("graphio: edge %d has weight %v in an unweighted stream", w.written, wt)
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.uvarint(uint64(u))
+	w.uvarint(uint64(v))
+	if w.weighted {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(wt))
+		w.bw.Write(buf[:])
+	}
+	w.written++
+	return nil
+}
+
+// Close flushes the stream and fails if the edge count does not match the
+// declared m. It does not close the underlying writer.
+func (w *BinaryWriter) Close() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.written != w.declared {
+		w.err = fmt.Errorf("graphio: stream closed after %d of %d declared edges", w.written, w.declared)
+		return w.err
+	}
+	if err := w.bw.Flush(); err != nil {
+		w.err = err
+		return err
+	}
+	w.err = fmt.Errorf("graphio: writer already closed") // arms later calls
+	return nil
 }

@@ -14,18 +14,15 @@ import (
 // sniffing entry point, and checks the results are identical.
 func roundTripBoth(t *testing.T, g *graph.Graph, b graph.Budgets) {
 	t.Helper()
-	var txt, bin bytes.Buffer
+	var txt bytes.Buffer
 	if err := Write(&txt, g, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&bin, g, b); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name string
 		data []byte
-	}{{"text", txt.Bytes()}, {"binary", bin.Bytes()}} {
-		g2, b2, err := DecodeAny(tc.data)
+	}{{"text", txt.Bytes()}, {"binary", AppendBinaryTo(nil, g, b)}} {
+		g2, b2, err := DecodeAnyLimits(tc.data, Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -75,13 +72,16 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	r := rng.New(4)
 	g := graph.GnmWeighted(20, 60, 1, 5, r.Split())
 	b := graph.RandomBudgets(20, 1, 3, r.Split())
-	good := AppendBinary(g, b)
+	good := AppendBinaryTo(nil, g, b)
 
-	// Every strict prefix must fail loudly, never succeed or panic.
+	// Every strict prefix must fail loudly, never succeed or panic, and
+	// with the same message in memory and through a window.
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := DecodeBinary(good[:cut]); err == nil {
+		got := decode(DecodeBinary(good[:cut]))
+		if got.err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(good))
 		}
+		sameDecode(t, got, decodeTiny(good[:cut], Limits{}))
 	}
 	// Trailing garbage is an error, not silently ignored.
 	if _, _, err := DecodeBinary(append(append([]byte{}, good...), 0x7)); err == nil {
@@ -110,7 +110,7 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 }
 
 func TestReadAnySniffsText(t *testing.T) {
-	g, b, err := ReadAny(strings.NewReader("n 3\ne 0 1\ne 1 2 2.5\nb 2 4\n"))
+	g, b, err := DecodeAnyLimits([]byte("n 3\ne 0 1\ne 1 2 2.5\nb 2 4\n"), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,40 +162,38 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(txt.Bytes())
-	f.Add(AppendBinary(g, b))
-	f.Add(AppendBinary(graph.MustNew(0, nil), nil))
+	f.Add(AppendBinaryTo(nil, g, b))
+	f.Add(AppendBinaryTo(nil, graph.MustNew(0, nil), nil))
 	f.Add([]byte("n 2\ne 0 1\n"))
 	f.Add([]byte("3\n0 1\n1 2 2.0\n"))
 	f.Add([]byte(BinaryMagic))
 	f.Add([]byte(BinaryMagic + "\x00\x05\x00\x00"))
+	f.Add([]byte("n 3000000000"))
+	f.Add([]byte("n 2\ne 0 1\nb 0 3000000000\n"))
+	f.Add([]byte("n 3\nb 7 2\nb 5 2\nb 9 1\n"))
 
+	// bmatchd-style bounds: unbounded, a header declaring a huge vertex
+	// count makes the fuzzing worker allocate until it is killed.
+	lim := Limits{MaxVertices: 1 << 16, MaxEdges: 1 << 18}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, b, err := DecodeAny(data)
-		if err != nil {
+		got := decode(DecodeAnyLimits(data, lim))
+		sameDecode(t, got, decode(DecodeAnyLimits(data, lim)))
+		if bytes.HasPrefix(data, []byte(BinaryMagic)) {
+			sameDecode(t, got, decodeTiny(data, lim))
+		}
+		if got.err != nil {
 			return
 		}
 		// Successful parses must yield a self-consistent instance that
 		// round-trips through the binary format.
-		if err := b.Validate(g); err != nil {
+		if err := got.b.Validate(got.g); err != nil {
 			t.Fatalf("parsed instance fails validation: %v", err)
 		}
-		g2, b2, err := DecodeBinary(AppendBinary(g, b))
+		g2, b2, err := DecodeBinary(AppendBinaryTo(nil, got.g, got.b))
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		if g2.N != g.N || g2.M() != g.M() {
-			t.Fatalf("round trip changed shape: n %d→%d m %d→%d", g.N, g2.N, g.M(), g2.M())
-		}
-		for i, e := range g.Edges {
-			if g2.Edges[i] != e {
-				t.Fatalf("round trip changed edge %d: %+v → %+v", i, e, g2.Edges[i])
-			}
-		}
-		for v := range b {
-			if b2[v] != b[v] {
-				t.Fatalf("round trip changed budget[%d]: %d → %d", v, b[v], b2[v])
-			}
-		}
+		sameInstance(t, got.g, g2, got.b, b2)
 	})
 }
 
@@ -234,7 +232,7 @@ func TestDecodeLimits(t *testing.T) {
 		t.Fatalf("in-limits instance rejected: %v", err)
 	}
 	// Unlimited (library use) keeps accepting large declared counts cheaply.
-	if _, _, err := DecodeAny([]byte("n 100000\n")); err != nil {
+	if _, _, err := DecodeAnyLimits([]byte("n 100000\n"), Limits{}); err != nil {
 		t.Fatalf("unlimited decode rejected benign instance: %v", err)
 	}
 }
@@ -247,13 +245,13 @@ func TestTextLimitsAndOverflow(t *testing.T) {
 	if _, _, err := DecodeAnyLimits([]byte("b 1000000 2\nn 10\n"), lim); err == nil {
 		t.Fatal("out-of-limit budget vertex accepted")
 	}
-	if _, _, err := DecodeAny([]byte("n 10\ne 4294967301 2\n")); err == nil {
+	if _, _, err := DecodeAnyLimits([]byte("n 10\ne 4294967301 2\n"), Limits{}); err == nil {
 		t.Fatal("int32-overflowing endpoint accepted")
 	}
-	if _, _, err := DecodeAny([]byte("n 10\ne -1 2\n")); err == nil {
+	if _, _, err := DecodeAnyLimits([]byte("n 10\ne -1 2\n"), Limits{}); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
-	if _, _, err := DecodeAny([]byte("n 10\nb -1 2\n")); err == nil {
+	if _, _, err := DecodeAnyLimits([]byte("n 10\nb -1 2\n"), Limits{}); err == nil {
 		t.Fatal("negative budget vertex accepted")
 	}
 }

@@ -1,8 +1,9 @@
-// Package graphio reads and writes graphs and budget vectors in a simple
-// line-oriented text format, so instances can be exchanged with other tools
-// and experiments can be rerun on fixed inputs.
+// Package graphio reads and writes graphs and budget vectors in two
+// formats, so instances can be exchanged with other tools and experiments
+// can be rerun on fixed inputs: a line-oriented text format and BMG1, a
+// compact binary wire format (see binary.go).
 //
-// Format:
+// Text format:
 //
 //	# comments and blank lines are ignored
 //	n <vertices>
@@ -10,11 +11,19 @@
 //	e <u> <v> [weight]      (weight defaults to 1)
 //
 // A bare first line containing just an integer is also accepted as the
-// vertex count, for compatibility with plain edge lists.
+// vertex count, for compatibility with plain edge lists. Vertex counts and
+// budgets are bounded by int32, as in BMG1.
+//
+// There is one read entry point per input kind: DecodeAnyLimits for a
+// payload in memory (bmatchd's request bodies), DecodeBinary for a BMG1
+// payload in memory, and ReadFile for a file. DecodeAnyLimits and ReadFile
+// sniff the BMG1 magic and accept either format. All BMG1 input goes
+// through one decoder.
 package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -46,13 +55,9 @@ func Write(w io.Writer, g *graph.Graph, b graph.Budgets) error {
 	return bw.Flush()
 }
 
-// Read parses a graph and budgets. Budgets default to 1 for every vertex.
-func Read(r io.Reader) (*graph.Graph, graph.Budgets, error) {
-	return readLimits(r, Limits{})
-}
-
-// readLimits is Read with resource bounds (see Limits); counts are checked
-// as they are parsed, before any count-sized allocation.
+// readLimits parses the text format with resource bounds (see Limits).
+// Budgets default to 1 for every vertex. Counts and budgets are checked as
+// they are parsed, before any count-sized allocation.
 func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -63,6 +68,17 @@ func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 		line   int
 	)
 	budges = map[int]int{}
+	// setN bounds a vertex count as BMG1 does: by int32, then by lim.
+	setN := func(v int) error {
+		if v > math.MaxInt32 {
+			return fmt.Errorf("graphio: line %d: vertex count %d exceeds int32", line, v)
+		}
+		if err := lim.checkN(v); err != nil {
+			return err
+		}
+		n = v
+		return nil
+	}
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -79,10 +95,9 @@ func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 			if err != nil || v < 0 {
 				return nil, nil, fmt.Errorf("graphio: line %d: bad vertex count %q", line, fields[1])
 			}
-			if err := lim.checkN(v); err != nil {
+			if err := setN(v); err != nil {
 				return nil, nil, err
 			}
-			n = v
 		case "b":
 			if len(fields) != 3 {
 				return nil, nil, fmt.Errorf("graphio: line %d: want 'b <v> <budget>'", line)
@@ -91,6 +106,9 @@ func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 			x, err2 := strconv.Atoi(fields[2])
 			if err1 != nil || err2 != nil || v < 0 {
 				return nil, nil, fmt.Errorf("graphio: line %d: bad budget line", line)
+			}
+			if x > math.MaxInt32 {
+				return nil, nil, fmt.Errorf("graphio: line %d: budget %d exceeds int32", line, x)
 			}
 			// Bound as parsed, not after: without this a body of distinct
 			// out-of-range 'b' lines fills an unbounded map before the
@@ -133,10 +151,9 @@ func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 				if v < 0 {
 					return nil, nil, fmt.Errorf("graphio: line %d: bad vertex count %q", line, text)
 				}
-				if err := lim.checkN(v); err != nil {
+				if err := setN(v); err != nil {
 					return nil, nil, err
 				}
-				n = v
 				continue
 			}
 			if len(fields) == 2 || len(fields) == 3 {
@@ -173,11 +190,16 @@ func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 		return nil, nil, err
 	}
 	b := graph.UniformBudgets(n, 1)
+	bad := -1 // the lowest out-of-range budget vertex, whatever the map order
 	for v, x := range budges {
-		if v < 0 || v >= n {
-			return nil, nil, fmt.Errorf("graphio: budget for out-of-range vertex %d", v)
+		if v < n {
+			b[v] = x
+		} else if bad < 0 || v < bad {
+			bad = v
 		}
-		b[v] = x
+	}
+	if bad >= 0 {
+		return nil, nil, fmt.Errorf("graphio: budget for out-of-range vertex %d", bad)
 	}
 	if err := b.Validate(g); err != nil {
 		return nil, nil, err
@@ -199,8 +221,61 @@ func WriteFile(path string, g *graph.Graph, b graph.Budgets) error {
 }
 
 // ReadFile reads a graph and budgets from path, auto-detecting the text or
-// binary format from the leading bytes. BMG1 content is ingested through
-// the streaming two-pass decoder, so the file is never buffered in memory.
+// binary format from the leading bytes. BMG1 content is decoded through a
+// window of at most 1 MiB that slides over the file, so the file is never
+// held in memory: beyond the returned instance, decoding needs the window
+// and the CSR build's transient counts, 4 bytes per vertex, or per-shard
+// counts of at most 4 bytes per edge when GOMAXPROCS ≥ 2 and the instance
+// has at least 65,536 edges.
 func ReadFile(path string) (*graph.Graph, graph.Budgets, error) {
-	return ReadFileLimits(path, Limits{})
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	var head [len(BinaryMagic)]byte
+	if _, err := io.ReadFull(f, head[:]); err == nil && string(head[:]) == BinaryMagic {
+		st, err := f.Stat()
+		if err != nil {
+			return nil, nil, err
+		}
+		return decodeBinary(f, st.Size(), make([]byte, min(1<<20, st.Size())), Limits{})
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, err
+	}
+	return readLimits(f, Limits{})
+}
+
+// Limits bounds what a decoder will accept. Zero fields are unlimited.
+// Network-facing callers (bmatchd) must set them: the formats declare
+// vertex counts up front, so without a bound an 11-byte hostile payload
+// can demand multi-gigabyte allocations before validation can fail.
+type Limits struct {
+	MaxVertices int
+	MaxEdges    int
+}
+
+func (l Limits) checkN(n int) error {
+	if l.MaxVertices > 0 && n > l.MaxVertices {
+		return fmt.Errorf("graphio: vertex count %d exceeds limit %d", n, l.MaxVertices)
+	}
+	return nil
+}
+
+func (l Limits) checkM(m int) error {
+	if l.MaxEdges > 0 && m > l.MaxEdges {
+		return fmt.Errorf("graphio: edge count %d exceeds limit %d", m, l.MaxEdges)
+	}
+	return nil
+}
+
+// DecodeAnyLimits parses either format from an in-memory payload, sniffing
+// the BMG1 magic, with resource bounds. This is the entry point
+// network-facing callers must use; BMG1 payloads are decoded in place.
+func DecodeAnyLimits(data []byte, lim Limits) (*graph.Graph, graph.Budgets, error) {
+	if len(data) >= len(BinaryMagic) && string(data[:len(BinaryMagic)]) == BinaryMagic {
+		return decodeBinary(nil, int64(len(data)), data, lim)
+	}
+	return readLimits(bytes.NewReader(data), lim)
 }

@@ -18,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, g, b); err != nil {
 		t.Fatal(err)
 	}
-	g2, b2, err := Read(&buf)
+	g2, b2, err := DecodeAnyLimits(buf.Bytes(), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestReadBareFormat(t *testing.T) {
 	in := "4\n0 1\n1 2 2.5\n# comment\n\n2 3\n"
-	g, b, err := Read(strings.NewReader(in))
+	g, b, err := DecodeAnyLimits([]byte(in), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestReadErrors(t *testing.T) {
 		"n 3\nb 0 -2\ne 0 1", // negative budget
 	}
 	for i, in := range cases {
-		if _, _, err := Read(strings.NewReader(in)); err == nil {
+		if _, _, err := DecodeAnyLimits([]byte(in), Limits{}); err == nil {
 			t.Fatalf("case %d accepted: %q", i, in)
 		}
 	}
@@ -94,5 +94,37 @@ func TestFileRoundTrip(t *testing.T) {
 func TestReadFileMissing(t *testing.T) {
 	if _, _, err := ReadFile("/nonexistent/path/graph.txt"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestTextVertexCountInt32: a text vertex count above int32 is rejected as
+// BMG1 rejects it, before graph.New sizes anything by it; otherwise the
+// 12-byte body below makes the CSR build allocate 12 GB.
+func TestTextVertexCountInt32(t *testing.T) {
+	for _, in := range []string{"n 3000000000", "3000000000\n"} {
+		_, _, err := DecodeAnyLimits([]byte(in), Limits{})
+		if err == nil || !strings.Contains(err.Error(), "vertex count 3000000000 exceeds int32") {
+			t.Fatalf("%q: err = %v", in, err)
+		}
+	}
+}
+
+// TestTextBudgetInt32: a text budget above int32 is rejected, so every
+// accepted text instance has a BMG1 encoding that decodes back.
+func TestTextBudgetInt32(t *testing.T) {
+	_, _, err := DecodeAnyLimits([]byte("n 2\ne 0 1\nb 0 3000000000\n"), Limits{})
+	if err == nil || !strings.Contains(err.Error(), "budget 3000000000 exceeds int32") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestTextBudgetRangeErrorDeterministic: with several out-of-range budget
+// lines, the error names the lowest vertex on every decode.
+func TestTextBudgetRangeErrorDeterministic(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		_, _, err := DecodeAnyLimits([]byte("n 3\nb 7 2\nb 5 2\nb 9 1\n"), Limits{})
+		if err == nil || err.Error() != "graphio: budget for out-of-range vertex 5" {
+			t.Fatalf("decode %d: err = %v", i, err)
+		}
 	}
 }

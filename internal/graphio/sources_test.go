@@ -12,6 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
+// tinyWindow is the smallest window decodeBinary accepts over a ReaderAt:
+// one maximal edge record, less than two, so records keep crossing refills.
+const tinyWindow = maxRecord
+
 // sameInstance checks full structural equality: vertex count, the edge
 // slice, the CSR incidence order, and the budgets.
 func sameInstance(t *testing.T, g1, g2 *graph.Graph, b1, b2 graph.Budgets) {
@@ -45,6 +49,54 @@ func sameInstance(t *testing.T, g1, g2 *graph.Graph, b1, b2 graph.Budgets) {
 	}
 }
 
+// decoded is one decode's outcome; decode(f(...)) captures any decoder's
+// three results.
+type decoded struct {
+	g   *graph.Graph
+	b   graph.Budgets
+	err error
+}
+
+func decode(g *graph.Graph, b graph.Budgets, err error) decoded { return decoded{g, b, err} }
+
+// sameDecode fails the test unless x and y failed with the same message or
+// decoded identical instances.
+func sameDecode(t *testing.T, x, y decoded) {
+	t.Helper()
+	if (x.err == nil) != (y.err == nil) || x.err != nil && x.err.Error() != y.err.Error() {
+		t.Fatalf("sources disagree: %v vs %v", x.err, y.err)
+	}
+	if x.err == nil {
+		sameInstance(t, x.g, y.g, x.b, y.b)
+	}
+}
+
+// decodeTiny decodes payload through a tinyWindow window over a ReaderAt.
+func decodeTiny(payload []byte, lim Limits) decoded {
+	return decode(decodeBinary(bytes.NewReader(payload), int64(len(payload)), make([]byte, tinyWindow), lim))
+}
+
+// decodeSources decodes a BMG1 payload from every source: in memory,
+// through a tinyWindow window, and through ReadFile when ReadFile would
+// pick the binary decoder (the payload starts with the magic) and honour
+// lim (it takes none). It fails the test unless all sources agree, and
+// returns the in-memory outcome.
+func decodeSources(t *testing.T, payload []byte, lim Limits) decoded {
+	t.Helper()
+	got := decode(decodeBinary(nil, int64(len(payload)), payload, lim))
+	sameDecode(t, got, decodeTiny(payload, lim))
+	if lim == (Limits{}) && bytes.HasPrefix(payload, []byte(BinaryMagic)) {
+		path := filepath.Join(t.TempDir(), "payload.bmg")
+		if err := os.WriteFile(path, payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sameDecode(t, got, decode(ReadFile(path)))
+	}
+	return got
+}
+
+// TestDecodeBinaryStreamMatchesInMemory decodes valid payloads from every
+// source and checks each reproduces the encoded instance exactly.
 func TestDecodeBinaryStreamMatchesInMemory(t *testing.T) {
 	r := rng.New(42)
 	for _, tc := range []struct {
@@ -54,19 +106,14 @@ func TestDecodeBinaryStreamMatchesInMemory(t *testing.T) {
 	}{
 		{"unweighted", graph.Gnm(300, 2000, r.Split()), graph.RandomBudgets(300, 1, 4, r.Split())},
 		{"weighted", graph.GnmWeighted(200, 1500, 1, 10, r.Split()), graph.UniformBudgets(200, 2)},
-		{"empty", graph.MustNew(5, nil), nil},
+		{"empty", graph.MustNew(5, nil), graph.UniformBudgets(5, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			payload := AppendBinary(tc.g, tc.b)
-			gM, bM, err := DecodeBinary(payload)
-			if err != nil {
-				t.Fatal(err)
+			got := decodeSources(t, AppendBinaryTo(nil, tc.g, tc.b), Limits{})
+			if got.err != nil {
+				t.Fatal(got.err)
 			}
-			gS, bS, err := DecodeBinaryStream(bytes.NewReader(payload), int64(len(payload)), Limits{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameInstance(t, gM, gS, bM, bS)
+			sameInstance(t, tc.g, got.g, tc.b, got.b)
 		})
 	}
 }
@@ -74,7 +121,7 @@ func TestDecodeBinaryStreamMatchesInMemory(t *testing.T) {
 func TestDecodeBinaryStreamRejects(t *testing.T) {
 	r := rng.New(7)
 	g := graph.GnmWeighted(50, 200, 1, 10, r.Split())
-	payload := AppendBinary(g, graph.RandomBudgets(50, 1, 3, r.Split()))
+	payload := AppendBinaryTo(nil, g, graph.RandomBudgets(50, 1, 3, r.Split()))
 
 	cases := []struct {
 		name    string
@@ -90,8 +137,7 @@ func TestDecodeBinaryStreamRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.mutate(payload)
-			_, _, err := DecodeBinaryStream(bytes.NewReader(p), int64(len(p)), tc.lim)
+			err := decodeSources(t, tc.mutate(payload), tc.lim).err
 			if err == nil || !strings.Contains(err.Error(), tc.errPart) {
 				t.Fatalf("err = %v, want containing %q", err, tc.errPart)
 			}
@@ -102,7 +148,7 @@ func TestDecodeBinaryStreamRejects(t *testing.T) {
 	// rejected before the edge-sized allocations.
 	hostile := []byte(BinaryMagic)
 	hostile = append(hostile, 0 /* flags */, 3 /* n */, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F /* m: huge */, 0 /* nb */)
-	if _, _, err := DecodeBinaryStream(bytes.NewReader(hostile), int64(len(hostile)), Limits{}); err == nil ||
+	if err := decodeSources(t, hostile, Limits{}).err; err == nil ||
 		!strings.Contains(err.Error(), "larger than payload allows") {
 		t.Fatalf("hostile header: err = %v", err)
 	}
@@ -138,9 +184,31 @@ func TestDecodeBinaryStreamRejectsInvalidEdges(t *testing.T) {
 	// from a hand-built payload rather than this writer.
 	selfLoop := []byte(BinaryMagic)
 	selfLoop = append(selfLoop, 0, 4 /* n */, 1 /* m */, 0 /* nb */, 2, 2)
-	if _, _, err := DecodeBinaryStream(bytes.NewReader(selfLoop), int64(len(selfLoop)), Limits{}); err == nil ||
+	if err := decodeSources(t, selfLoop, Limits{}).err; err == nil ||
 		!strings.Contains(err.Error(), "self-loop") {
 		t.Errorf("decoder self-loop: err = %v", err)
+	}
+}
+
+// TestReadFileAllocsFlat pins ReadFile's BMG1 path to a fixed number of
+// allocations — the window and the instance's arrays — whatever the edge
+// count: nothing on the per-edge path may allocate.
+func TestReadFileAllocsFlat(t *testing.T) {
+	r := rng.New(8)
+	allocs := func(m int) float64 {
+		g := graph.GnmWeighted(m/4, m, 1, 10, r.Split())
+		path := filepath.Join(t.TempDir(), "weighted.bmg")
+		if err := os.WriteFile(path, AppendBinaryTo(nil, g, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2000), allocs(20000); small != large {
+		t.Fatalf("ReadFile allocates %v times at m=2000 but %v at m=20000", small, large)
 	}
 }
 
@@ -157,7 +225,7 @@ func TestBinaryWriterMatchesAppendBinary(t *testing.T) {
 			g = graph.Gnm(120, 800, r.Split())
 		}
 		b := graph.RandomBudgets(g.N, 1, 4, r.Split())
-		want := AppendBinary(g, b)
+		want := AppendBinaryTo(nil, g, b)
 
 		var buf bytes.Buffer
 		w, err := NewBinaryWriter(&buf, g.N, g.M(), b, weighted)
@@ -173,7 +241,7 @@ func TestBinaryWriterMatchesAppendBinary(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("weighted=%v: streamed encoding differs from AppendBinary (%d vs %d bytes)",
+			t.Fatalf("weighted=%v: streamed encoding differs from AppendBinaryTo (%d vs %d bytes)",
 				weighted, buf.Len(), len(want))
 		}
 	}
@@ -206,7 +274,7 @@ func TestBinaryWriterCountContract(t *testing.T) {
 }
 
 // TestReadFileStreamsBinary checks the file entry point round-trips both
-// formats, with BMG1 going through the streaming decoder.
+// formats, with BMG1 going through the windowed decoder.
 func TestReadFileStreamsBinary(t *testing.T) {
 	r := rng.New(3)
 	g := graph.GnmWeighted(80, 500, 1, 10, r.Split())
@@ -214,7 +282,7 @@ func TestReadFileStreamsBinary(t *testing.T) {
 
 	dir := t.TempDir()
 	binPath := filepath.Join(dir, "inst.bmg")
-	if err := os.WriteFile(binPath, AppendBinary(g, b), 0o644); err != nil {
+	if err := os.WriteFile(binPath, AppendBinaryTo(nil, g, b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	gB, bB, err := ReadFile(binPath)

@@ -64,7 +64,7 @@ func BuildCorpus(seed int64, fams []FamilySpec) ([]CorpusItem, error) {
 			}
 			items = append(items, CorpusItem{
 				Name:    fmt.Sprintf("%s/%d", f.Family, i),
-				Payload: graphio.AppendBinary(g, b),
+				Payload: graphio.AppendBinaryTo(nil, g, b),
 				N:       g.N,
 				M:       g.M(),
 			})

@@ -104,53 +104,6 @@ func TestExchangeReturnsAndConsumes(t *testing.T) {
 	})
 }
 
-func TestPrefixSums(t *testing.T) {
-	s := NewSimWithWorkers(3, 0)
-	vals := [][]int64{{1, 2, 3}, {}, {4, 5}}
-	got := PrefixSums(s, vals)
-	want := [][]int64{{0, 1, 3}, {}, {6, 10}}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("machine %d: got %v want %v", i, got[i], want[i])
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("machine %d: got %v want %v", i, got[i], want[i])
-			}
-		}
-	}
-	if s.Stats().Rounds != 2 {
-		t.Fatalf("prefix sums used %d rounds, want 2", s.Stats().Rounds)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := NewSimWithWorkers(4, 0)
-	items := [][]int{{1, 5, 9}, {2, 6}, {3}, {4, 8, 12}}
-	got := Shuffle(s, items,
-		func(x int) int { return x % 4 },
-		func(x int) int64 { return int64(x) },
-		func(int) int64 { return 1 },
-	)
-	for mach, xs := range got {
-		for _, x := range xs {
-			if x%4 != mach {
-				t.Fatalf("item %d delivered to machine %d", x, mach)
-			}
-		}
-	}
-	if s.Stats().Rounds != 1 {
-		t.Fatalf("shuffle used %d rounds, want 1", s.Stats().Rounds)
-	}
-	total := 0
-	for _, xs := range got {
-		total += len(xs)
-	}
-	if total != 9 {
-		t.Fatalf("lost items: %d of 9", total)
-	}
-}
-
 func TestSortInt64(t *testing.T) {
 	s := NewSimWithWorkers(4, 0)
 	vals := [][]int64{{9, 1, 7}, {3, 3, 100}, {}, {2, 50, 4, 6}}
@@ -201,51 +154,3 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchInt64Predecessor(t *testing.T) {
-	s := NewSimWithWorkers(4, 0)
-	// A distributed sorted sequence as SortInt64 would produce it.
-	shards := [][]int64{{1, 3, 5}, {7, 9}, {}, {11, 20, 30}}
-	queries := []int64{0, 1, 4, 8, 10, 25, 100}
-	got := SearchInt64(s, shards, queries)
-	want := []int64{mathMinInt64(), 1, 3, 7, 9, 20, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d: got %d, want %d", queries[i], got[i], want[i])
-		}
-	}
-	if s.Stats().Rounds != 2 {
-		t.Fatalf("search used %d rounds, want 2", s.Stats().Rounds)
-	}
-}
-
-func TestSearchAfterSort(t *testing.T) {
-	s := NewSimWithWorkers(5, 0)
-	vals := make([][]int64, 5)
-	for i := range vals {
-		for j := 0; j < 30; j++ {
-			vals[i] = append(vals[i], int64((i*31+j*17)%101))
-		}
-	}
-	shards := SortInt64(s, vals)
-	queries := []int64{-5, 0, 50, 100, 200}
-	got := SearchInt64(s, shards, queries)
-	// Reference: flatten and search.
-	var flat []int64
-	for _, sh := range shards {
-		flat = append(flat, sh...)
-	}
-	for i, qv := range queries {
-		want := mathMinInt64()
-		for _, v := range flat {
-			if v <= qv && v > want {
-				want = v
-			}
-		}
-		if got[i] != want {
-			t.Fatalf("query %d: got %d want %d", qv, got[i], want)
-		}
-	}
-}
-
-func mathMinInt64() int64 { return -9223372036854775808 }

@@ -1,147 +1,10 @@
-// Constant-round MPC primitives in the style of Goodrich–Sitchinava–Zhang
-// (GSZ11), which the paper invokes for sorting, prefix sums, and search
-// trees (Lemma 4.7). Each primitive is built from Sim rounds, so its round
-// cost shows up in the simulator's accounting.
+// A constant-round MPC sort in the style of Goodrich–Sitchinava–Zhang
+// (GSZ11), the primitive weighted.ResolveWithinMPC (Lemma 5.7) builds on. It
+// is built from Sim rounds, so its round cost shows up in the simulator's
+// accounting.
 package mpc
 
-import (
-	"math"
-	"sort"
-)
-
-// PrefixSums computes exclusive global prefix sums over per-machine value
-// slices: machine i holds vals[i], and the result off[i][j] is the sum of
-// all values on machines < i plus vals[i][:j]. It costs 2 rounds (local
-// totals to a coordinator, offsets back), matching the O(1)-round GSZ11
-// bound.
-func PrefixSums(s *Sim, vals [][]int64) [][]int64 {
-	n := s.Machines()
-	// Round 1: every machine reports its local total to machine 0.
-	byCoord := s.Exchange(func(m *Machine) {
-		var total int64
-		for _, v := range vals[m.ID] {
-			total += v
-		}
-		m.Send(0, int64(m.ID), total, 1)
-	})
-	// Round 2: machine 0 computes exclusive machine offsets and scatters.
-	totals := make([]int64, n)
-	for _, msg := range byCoord[0] {
-		totals[msg.From] = msg.Payload.(int64)
-	}
-	offsets := s.Exchange(func(m *Machine) {
-		if m.ID != 0 {
-			return
-		}
-		var acc int64
-		for i := 0; i < n; i++ {
-			m.Send(i, 0, acc, 1)
-			acc += totals[i]
-		}
-	})
-	// Finish locally (no communication).
-	out := make([][]int64, n)
-	for i := 0; i < n; i++ {
-		var base int64
-		for _, msg := range offsets[i] {
-			base = msg.Payload.(int64)
-		}
-		local := make([]int64, len(vals[i]))
-		acc := base
-		for j, v := range vals[i] {
-			local[j] = acc
-			acc += v
-		}
-		out[i] = local
-	}
-	return out
-}
-
-// Shuffle routes items to machines in one round: machine i starts with
-// items[i], and each item is sent to dest(item). It returns the per-machine
-// received items in deterministic (sender, key) order. words(item) gives
-// each item's size for the accounting.
-func Shuffle[T any](s *Sim, items [][]T, dest func(T) int, key func(T) int64, words func(T) int64) [][]T {
-	delivered := s.Exchange(func(m *Machine) {
-		for _, it := range items[m.ID] {
-			m.Send(dest(it), key(it), it, words(it))
-		}
-	})
-	out := make([][]T, s.Machines())
-	for i, msgs := range delivered {
-		local := make([]T, 0, len(msgs))
-		for _, msg := range msgs {
-			local = append(local, msg.Payload.(T))
-		}
-		out[i] = local
-	}
-	return out
-}
-
-// SearchInt64 answers membership/predecessor queries against a distributed
-// sorted sequence (the GSZ11 "search tree" of Lemma 4.7): machine i holds
-// the sorted range shards[i] (as produced by SortInt64), queries start
-// distributed round-robin, are routed to the owning range in one round
-// using broadcast boundary keys, and answered locally. Each answer is the
-// largest value ≤ the query (or math.MinInt64 if none). Costs 2 rounds.
-func SearchInt64(s *Sim, shards [][]int64, queries []int64) []int64 {
-	n := s.Machines()
-	// Boundary keys of the non-empty shards, known driver-side (they were
-	// produced by a sort whose splitters the coordinator chose).
-	type boundary struct {
-		first int64
-		shard int
-	}
-	var bounds []boundary
-	for i, sh := range shards {
-		if len(sh) > 0 {
-			bounds = append(bounds, boundary{first: sh[0], shard: i})
-		}
-	}
-	type q struct {
-		Idx int32
-		Val int64
-	}
-	// Round 1: route each query to the last non-empty shard whose first
-	// element is ≤ the query (that shard holds the predecessor, if any).
-	routed := s.Exchange(func(m *Machine) {
-		for i, val := range queries {
-			if i%n != m.ID {
-				continue
-			}
-			pos := sort.Search(len(bounds), func(j int) bool { return bounds[j].first > val })
-			if pos == 0 {
-				continue // no predecessor anywhere
-			}
-			dst := bounds[pos-1].shard
-			m.Send(dst, int64(i), q{Idx: int32(i), Val: val}, 1)
-		}
-	})
-	// Round 2: owners binary-search locally and reply to the coordinator
-	// (which stands in for "whoever asked" — accounting is identical).
-	answers := make([]int64, len(queries))
-	for i := range answers {
-		answers[i] = math.MinInt64
-	}
-	replies := s.Exchange(func(m *Machine) {
-		sh := shards[m.ID]
-		for _, msg := range routed[m.ID] {
-			qq := msg.Payload.(q)
-			// The router guarantees sh[0] ≤ val, so pos ≥ 1 here.
-			pos := sort.Search(len(sh), func(j int) bool { return sh[j] > qq.Val })
-			ans := int64(math.MinInt64)
-			if pos > 0 {
-				ans = sh[pos-1]
-			}
-			m.Send(0, int64(qq.Idx), [2]int64{int64(qq.Idx), ans}, 2)
-		}
-	})
-	for _, msg := range replies[0] {
-		pair := msg.Payload.([2]int64)
-		answers[pair[0]] = pair[1]
-	}
-	return answers
-}
+import "sort"
 
 // SortInt64 performs a distributed sort of per-machine int64 slices using
 // range partitioning (sample-sort): a coordinator gathers samples, picks

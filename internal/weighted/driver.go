@@ -161,7 +161,7 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 			defer done()
 			inst := buildInstanceScratch(m, job.k, job.rB, ar)
 			cands := inst.growScratch(job.rG, ar)
-			job.out = ResolveWithin(cands, m, params.KeepProb, job.rR, 1)
+			job.out = ResolveWithin(cands, m, params.KeepProb, job.rR)
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, err

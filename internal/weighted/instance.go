@@ -30,9 +30,9 @@ type Instance struct {
 
 	// Step (I)'s distribution of M over Decompress(V, b) is implicit here:
 	// because every matched edge is claimed at most once and every free
-	// copy is a counted slot, the concrete copy assignment (available
-	// explicitly via augment.AssignSlots, Lemma 4.7) never needs to be
-	// materialized — the Compress trick works on counts alone.
+	// copy is a counted slot, the concrete copy assignment of Lemma 4.7
+	// never needs to be materialized — the Compress trick works on counts
+	// alone.
 
 	// Matched-edge placement: present[e] iff the two copies fell on opposite
 	// sides of the bipartition; layer[e] ∈ 1..k; entry/exit vertices are the

@@ -15,66 +15,35 @@ import (
 	"sort"
 
 	"repro/internal/matching"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
-
-// resolveGrain is the candidates-per-block grain of the parallel scoring
-// stage; a variable so the fusion harness can shrink it.
-var resolveGrain = 16
 
 // ResolveWithin implements Algorithm 5 for one layered graph's candidates:
 // each candidate survives an independent coin with probability keepProb
 // (the paper uses ε⁹/2 to bound intersection chains; the practical default
 // is higher — see Params), is reduced to its best-gain component
 // (Line 6, via Algorithm 4), and is then kept only if it remains jointly
-// applicable with the already-kept set.
-//
-// The candidate-scoring stage (component decomposition and gain, the
-// expensive part) runs over blocked workers. The driver calls this from
-// per-instance jobs that already occupy the worker pool, so it passes
-// workers = 1; callers resolving one large candidate pool fan the scoring
-// out. The kept set is bit-identical for every worker count: coins are
-// pre-drawn serially in candidate order, so RNG consumption is exactly the
-// serial loop's; scoring only reads m and writes candidate-owned slots; and
-// the greedy joint-applicability acceptance replays serially in candidate
-// order.
-func ResolveWithin(cands []Candidate, m *matching.BMatching, keepProb float64, r *rng.RNG, workers int) []Candidate {
+// applicable with the already-kept set. No coin is drawn when
+// keepProb ≥ 1.
+func ResolveWithin(cands []Candidate, m *matching.BMatching, keepProb float64, r *rng.RNG) []Candidate {
 	if len(cands) == 0 {
 		return nil
 	}
-	keep := make([]bool, len(cands))
-	for i := range keep {
-		// Short-circuit keeps RNG consumption identical to the serial loop:
-		// no coin is drawn when keepProb ≥ 1.
-		keep[i] = keepProb >= 1 || r.Bernoulli(keepProb)
-	}
-	best := make([]*matching.Walk, len(cands))
-	gains := make([]float64, len(cands))
-	//lint:parallel candidates score independently: BestComponent/Gain only read m, and slots best[i]/gains[i] are written only by i's own block
-	par.ParallelForBlocks(workers, len(cands), resolveGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !keep[i] {
-				continue
-			}
-			b, err := BestComponent(cands[i].Walk, m)
-			if err != nil || b == nil {
-				continue
-			}
-			best[i] = b
-			gains[i] = b.Gain(m)
-		}
-	})
 	scratch := m.Clone()
 	var kept []Candidate
-	for i := range cands {
-		if best[i] == nil || gains[i] <= 0 {
+	for _, c := range cands {
+		if keepProb < 1 && !r.Bernoulli(keepProb) {
 			continue
 		}
-		if err := best[i].Apply(scratch); err != nil {
-			continue // intersects a kept augmentation
+		best, err := BestComponent(c.Walk, m)
+		if err != nil || best == nil {
+			continue
 		}
-		kept = append(kept, Candidate{Walk: *best[i], Gain: gains[i]})
+		gain := best.Gain(m)
+		if gain <= 0 || best.Apply(scratch) != nil {
+			continue // no gain, or intersects a kept augmentation
+		}
+		kept = append(kept, Candidate{Walk: *best, Gain: gain})
 	}
 	return kept
 }

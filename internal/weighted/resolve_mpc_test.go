@@ -111,7 +111,7 @@ func TestResolveWithinMPCAgreesWithSequentialOnGain(t *testing.T) {
 		})
 	}
 	keptMPC, _ := ResolveWithinMPC(cands, m, 4, 0)
-	keptSeq := ResolveWithin(cands, m, 1, rng.New(1), 1)
+	keptSeq := ResolveWithin(cands, m, 1, rng.New(1))
 	if len(keptMPC) != 3 || len(keptSeq) != 3 {
 		t.Fatalf("conflict-free input lost candidates: mpc=%d seq=%d",
 			len(keptMPC), len(keptSeq))

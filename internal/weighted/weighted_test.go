@@ -256,7 +256,7 @@ func TestResolveWithinDropsConflicts(t *testing.T) {
 	m := matching.MustNew(g, b)
 	c1 := Candidate{Walk: matching.Walk{EdgeIDs: []int32{0}, Start: 1}, Gain: 1}
 	c2 := Candidate{Walk: matching.Walk{EdgeIDs: []int32{1}, Start: 2}, Gain: 1}
-	kept := ResolveWithin([]Candidate{c1, c2}, m, 1, rng.New(1), 1)
+	kept := ResolveWithin([]Candidate{c1, c2}, m, 1, rng.New(1))
 	if len(kept) != 1 {
 		t.Fatalf("kept %d, want 1", len(kept))
 	}
@@ -269,7 +269,7 @@ func TestResolveWithinSampling(t *testing.T) {
 	keptCount := 0
 	r := rng.New(5)
 	for i := 0; i < 1000; i++ {
-		if len(ResolveWithin([]Candidate{c}, m, 0.3, r.Split(), 1)) == 1 {
+		if len(ResolveWithin([]Candidate{c}, m, 0.3, r.Split())) == 1 {
 			keptCount++
 		}
 	}

@@ -2,9 +2,7 @@ package weighted
 
 import (
 	"context"
-	"math"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -78,50 +76,6 @@ func TestResolveWithinMPCWorkersMatchesDefault(t *testing.T) {
 		for i := range ref {
 			if got[i].Walk.Start != ref[i].Walk.Start || got[i].Gain != ref[i].Gain {
 				t.Fatalf("workers=%d: survivor %d diverged", workers, i)
-			}
-		}
-	}
-}
-
-// TestResolveWithinWorkersBitIdentical: the blocked scoring stage must
-// reproduce the serial resolver's kept set exactly for every width and
-// grain — coins are pre-drawn in candidate order and acceptance replays
-// serially, so nothing may depend on the partition.
-func TestResolveWithinWorkersBitIdentical(t *testing.T) {
-	oldGrain := resolveGrain
-	t.Cleanup(func() { resolveGrain = oldGrain })
-
-	r := rng.New(17)
-	g := graph.BipartiteWeighted(30, 30, 300, 1, 10, r.Split())
-	b := graph.RandomBudgets(60, 1, 2, r.Split())
-	m := matching.MustNew(g, b)
-	cands := make([]Candidate, g.M())
-	for e := 0; e < g.M(); e++ {
-		cands[e] = Candidate{
-			Walk: matching.Walk{EdgeIDs: []int32{int32(e)}, Start: g.Edges[e].U},
-			Gain: g.Edges[e].W,
-		}
-	}
-	run := func(workers int) []Candidate {
-		return ResolveWithin(cands, m, 0.6, rng.New(3), workers)
-	}
-	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("reference resolver kept nothing; test instance too small")
-	}
-	for _, grain := range []int{1, 3, oldGrain} {
-		resolveGrain = grain
-		for _, workers := range []int{2, 4, 7} {
-			got := run(workers)
-			if len(got) != len(want) {
-				t.Fatalf("grain %d workers %d: kept %d, serial kept %d",
-					grain, workers, len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got[i].Gain) != math.Float64bits(want[i].Gain) ||
-					!slices.Equal(got[i].Walk.EdgeIDs, want[i].Walk.EdgeIDs) {
-					t.Fatalf("grain %d workers %d: kept[%d] differs from serial", grain, workers, i)
-				}
 			}
 		}
 	}

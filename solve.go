@@ -75,12 +75,12 @@ type Request struct {
 	ValueMode string
 	// MPCTransport selects the MPC simulator's delivery backend for the
 	// fractional compression supersteps (the simulator core of AlgoApprox
-	// and AlgoFrac). Nil is the in-process pipeline; a non-nil factory
-	// (e.g. mpctransport.NewDialer over `bmatchd -mpc-worker` processes)
-	// ships those supersteps' messages to external worker processes. The
-	// auxiliary MPC-modeled phases of AlgoMax/AlgoMaxWeight (slot
-	// assignment, conflict resolution) always run in-process — their
-	// payloads are outside the wire codec's closed type set. Backends are
+	// and AlgoFrac, and of AlgoMax's Θ(1) start). Nil is the in-process
+	// pipeline; a non-nil factory (e.g. mpctransport.NewDialer over
+	// `bmatchd -mpc-worker` processes) ships those supersteps' messages to
+	// external worker processes. The augmentation phases of AlgoMax and
+	// AlgoMaxWeight run on no simulator at all: their MPC round counts are
+	// EstMPCRounds estimates. Backends are
 	// bit-identical by contract — like Workers, this changes where the
 	// solve runs, never its result. Implementations must be comparable
 	// (use a pointer type).
