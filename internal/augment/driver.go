@@ -3,7 +3,17 @@
 // random layered graphs for every walk length up to O(1/ε) and applies the
 // disjoint augmenting walks found, until augmentations dry up. By Lemma 4.4
 // (via the Section 4.2 correspondence), a matching with no remaining
-// k-alternating augmenting walks is a (1 + 2/k)-approximation.
+// k-alternating augmenting walks is a (1 + 2/k)-approximation; its k = ∞
+// case, Berge's lemma, is the driver's first stopping rule.
+//
+// Stopping. After every sweep that applied nothing, the driver runs
+// matching.CertifyMaxSize and stops if it proves the matching maximum. The
+// check is sound on every graph and fires on every maximum matching of a
+// bipartite graph; on a non-bipartite graph an odd cycle can keep it
+// silent. Where it does not fire, the stall rule (StallSweeps sweeps at
+// the full retry budget) stops the driver. The certificate fires only on
+// a maximum matching, from which no sweep applies a walk, so it changes
+// Sweeps, Instances and EstMPCRounds but never M.
 package augment
 
 import (
@@ -34,7 +44,11 @@ type Params struct {
 	// cheap. Default 256.
 	MaxRetriesPerK int
 	// StallSweeps: stop after this many consecutive full sweeps that apply
-	// no augmentation (default 3).
+	// no augmentation (default 3). This is the fallback stopping rule: a
+	// sweep that applies nothing first runs the maximality certificate
+	// (matching.CertifyMaxSize), which stops the driver at once where it
+	// proves M maximum — always on a bipartite graph once M is maximum,
+	// and never on a matching that is not.
 	StallSweeps int
 	// MaxSweeps bounds total sweeps (default 200).
 	MaxSweeps int
@@ -91,9 +105,14 @@ type Result struct {
 	// O(k) rounds (one parallel extension step per layer, Lemma 5.5-style,
 	// with the per-layer Θ(1)-approximate b'-matching of Section 4.4), so
 	// EstMPCRounds = Σ over instances of (its k + 1) is the driver's round
-	// observable for Theorem 4.1.
+	// observable for Theorem 4.1. It charges neither the greedy fill nor
+	// the maximality certificate.
 	Instances    int
 	EstMPCRounds int
+	// Certified reports that the driver stopped because
+	// matching.CertifyMaxSize proved M a maximum b-matching; false means
+	// the stall rule or MaxSweeps stopped it.
+	Certified bool
 }
 
 // OnePlusEpsCtx improves the given matching to a (1+ε)-approximate maximum
@@ -137,6 +156,13 @@ func OnePlusEpsCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, initial
 		greedyFill(m)
 		res.WalksApplied += appliedThisSweep
 		if appliedThisSweep == 0 {
+			// A maximum matching admits no augmenting walk and leaves greedy
+			// fill nothing to add, so every later sweep would apply nothing:
+			// stop on proof.
+			if matching.CertifyMaxSize(m) {
+				res.Certified = true
+				break
+			}
 			// Escalate the search effort before giving up: rare walks need
 			// exp(O(1/ε)) instances to appear in a random layering.
 			if retries < params.MaxRetriesPerK {

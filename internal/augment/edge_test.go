@@ -2,6 +2,7 @@ package augment
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/exact"
@@ -74,6 +75,31 @@ func TestDriverAlreadyOptimalStopsQuickly(t *testing.T) {
 	}
 	if res.M.Size() != 2 {
 		t.Fatal("optimal matching changed")
+	}
+	if !res.Certified || res.Sweeps != 1 {
+		t.Fatalf("certified=%v after %d sweeps; the first dry sweep must prove a perfect matching maximum", res.Certified, res.Sweeps)
+	}
+}
+
+// TestDriverOddCycleFallsBackToStall: on C₅ with b ≡ 1 the greedy start is
+// already maximum, but the odd-cycle gap keeps the certificate silent, so
+// the stall rule stops the driver: five escalating dry sweeps (retries 8
+// to 128), then three at 256. Sweeps, Instances and the matching are the
+// values the driver gave before the certificate existed.
+func TestDriverOddCycleFallsBackToStall(t *testing.T) {
+	res, err := OnePlusEpsCtx(context.Background(), graph.Cycle(5), graph.UniformBudgets(5, 1), nil, DefaultParams(0.5), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Certified {
+		t.Fatal("certified a matching on C5")
+	}
+	if res.Sweeps != 8 || res.Instances != 4064 || res.EstMPCRounds != 14224 || res.WalksApplied != 0 {
+		t.Errorf("sweeps=%d instances=%d est=%d walks=%d, want the stall rule's 8/4064/14224/0",
+			res.Sweeps, res.Instances, res.EstMPCRounds, res.WalksApplied)
+	}
+	if got := res.M.Edges(); !slices.Equal(got, []int32{0, 2}) {
+		t.Errorf("edges %v, want [0 2]", got)
 	}
 }
 

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/loadgen"
 	"repro/internal/mpc/mpctransport"
 	"repro/internal/rng"
 )
@@ -241,6 +243,79 @@ func TestFracF32BitIdenticalAcrossWorkersAndTransports(t *testing.T) {
 	for e := range want.Frac.X {
 		if math.Float64bits(got.Frac.X[e]) != math.Float64bits(want.Frac.X[e]) {
 			t.Fatalf("tcp: f32 x[%d] = %v differs from in-process %v", e, got.Frac.X[e], want.Frac.X[e])
+		}
+	}
+}
+
+// maxGoldenFamilies are the small instances TestMaxGoldenChecksums solves:
+// one per family, drawn per seed from loadgen's corpus builder.
+var maxGoldenFamilies = []loadgen.FamilySpec{
+	{Family: "assignment", Count: 1, N: 16, M: 40},
+	{Family: "skew", Count: 1, N: 12, M: 24},
+	{Family: "gnm", Count: 1, N: 16, M: 40},
+	{Family: "powerlaw", Count: 1, N: 20, M: 48},
+}
+
+// TestMaxGoldenChecksums pins the matchings max and maxw serve bit for
+// bit, for workers 1 and 4: an FNV-1a hash of Result.Edges per (family,
+// seed, algo). A change that only stops the drivers earlier, or makes
+// their instances cheaper, must leave every entry unchanged.
+func TestMaxGoldenChecksums(t *testing.T) {
+	golden := map[string]uint64{
+		"assignment/0/1/max":  0x641d0eaacf474385,
+		"assignment/0/1/maxw": 0x47c3f8d7c0d35846,
+		"skew/0/1/max":        0x8bf425edcdbba6a1,
+		"skew/0/1/maxw":       0x5a0b8dab34bee773,
+		"gnm/0/1/max":         0xacffb1628ea6bc07,
+		"gnm/0/1/maxw":        0xdca3b8a13a371fb1,
+		"powerlaw/0/1/max":    0x9cfae3ba76348595,
+		"powerlaw/0/1/maxw":   0xc3941b1b450b0d4c,
+		"assignment/0/2/max":  0x850bcb7f01812a13,
+		"assignment/0/2/maxw": 0x21719972e3c42f30,
+		"skew/0/2/max":        0x9b33719d19dc3f21,
+		"skew/0/2/maxw":       0xeee7129cf634ec95,
+		"gnm/0/2/max":         0xeab9304b8c483c2a,
+		"gnm/0/2/maxw":        0xc5348b6256285a61,
+		"powerlaw/0/2/max":    0x8e2507c28e0d5eb8,
+		"powerlaw/0/2/maxw":   0x414998a61dc53a0d,
+		"assignment/0/3/max":  0xb63176e3ce841bcf,
+		"assignment/0/3/maxw": 0x97f4bc640b8523cf,
+		"skew/0/3/max":        0xe3ff947ef642d73d,
+		"skew/0/3/maxw":       0x699226fff372b981,
+		"gnm/0/3/max":         0x604a8b2a28a876b8,
+		"gnm/0/3/maxw":        0x51d519499c7a9276,
+		"powerlaw/0/3/max":    0x7fc5c87b4da18ef0,
+		"powerlaw/0/3/maxw":   0xf70efe68562ed133,
+	}
+	ctx := context.Background()
+	s := NewSession(nil)
+	for _, seed := range []int64{1, 2, 3} {
+		items, err := loadgen.BuildCorpus(seed, maxGoldenFamilies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items {
+			inst, err := s.Instance(it.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []Algo{AlgoMax, AlgoMaxWeight} {
+				key := fmt.Sprintf("%s/%d/%s", it.Name, seed, algo)
+				for _, workers := range []int{1, 4} {
+					res, err := s.Solve(ctx, inst, Spec{Algo: algo, Seed: seed, Workers: workers, NoCache: true})
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", key, workers, err)
+					}
+					h := fnv.New64a()
+					for _, e := range res.Edges {
+						h.Write([]byte{byte(e), byte(e >> 8), byte(e >> 16), byte(e >> 24)})
+					}
+					if got := h.Sum64(); got != golden[key] {
+						t.Errorf("%s workers=%d: checksum 0x%016x, want golden 0x%016x — the served matching changed",
+							key, workers, got, golden[key])
+					}
+				}
+			}
 		}
 	}
 }

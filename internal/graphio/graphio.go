@@ -55,12 +55,18 @@ func Write(w io.Writer, g *graph.Graph, b graph.Budgets) error {
 	return bw.Flush()
 }
 
+// maxTextLine is the longest text line readLimits accepts, newline
+// included; a longer one fails with bufio.ErrTooLong.
+const maxTextLine = 1 << 20
+
 // readLimits parses the text format with resource bounds (see Limits).
 // Budgets default to 1 for every vertex. Counts and budgets are checked as
 // they are parsed, before any count-sized allocation.
 func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
+	// The buffer starts small and grows as lines need it, up to the 1 MiB
+	// line limit, so a small body costs a small buffer.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxTextLine)
 	var (
 		n      = -1
 		edges  []graph.Edge

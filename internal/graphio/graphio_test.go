@@ -1,7 +1,9 @@
 package graphio
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -126,5 +128,38 @@ func TestTextBudgetRangeErrorDeterministic(t *testing.T) {
 		if err == nil || err.Error() != "graphio: budget for out-of-range vertex 5" {
 			t.Fatalf("decode %d: err = %v", i, err)
 		}
+	}
+}
+
+// TestTextDecodeAllocatesLittle: a tiny text body costs a small scanner
+// buffer, not the 1 MiB line limit.
+func TestTextDecodeAllocatesLittle(t *testing.T) {
+	body := []byte("n 3\ne 0 1\n")
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := DecodeAnyLimits(body, Limits{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("decoding %q allocates %d B/op, want under 64 KiB", body, got)
+	}
+}
+
+// TestTextLineLimit: a line of exactly maxTextLine bytes (newline
+// included) still parses, and one byte more fails with bufio.ErrTooLong.
+func TestTextLineLimit(t *testing.T) {
+	pad := func(extra int) []byte {
+		line := "# " + strings.Repeat("x", maxTextLine-3+extra) + "\n"
+		return []byte("n 2\n" + line + "e 0 1\n")
+	}
+	g, _, err := DecodeAnyLimits(pad(0), Limits{})
+	if err != nil || g.M() != 1 {
+		t.Fatalf("line of %d bytes: err = %v", maxTextLine, err)
+	}
+	if _, _, err := DecodeAnyLimits(pad(1), Limits{}); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line of %d bytes: err = %v, want bufio.ErrTooLong", maxTextLine+1, err)
 	}
 }

@@ -2,6 +2,16 @@
 // instances over the current matching, extract gain-positive alternating
 // walks, resolve conflicts with Algorithms 5 and 6, and apply the
 // survivors, until positive-gain augmentations dry up.
+//
+// Stopping. After every round that applied nothing, the driver runs
+// matching.CertifyMaxWeight and stops if it proves the matching of maximum
+// weight. The check is sound on every graph. On a bipartite graph it fires
+// on every maximum-weight matching up to ties: an alternating walk or
+// cycle of zero gain keeps it silent, because the driver would apply one
+// whose float gain rounds above zero. Where it does not fire, the stall
+// rule (StallRounds rounds at the full retry budget) stops the driver. The
+// certificate fires only where no round could apply a walk, so it changes
+// Rounds, Instances and EstMPCRounds but never M.
 package weighted
 
 import (
@@ -37,8 +47,15 @@ type Params struct {
 	// group (paper: 1/ε²⁰; practical default 1/ε²).
 	Spread float64
 	// Retries escalation, as in the unweighted driver.
-	Retries     int
-	MaxRetries  int
+	Retries    int
+	MaxRetries int
+	// StallRounds: stop after this many consecutive rounds at MaxRetries
+	// that apply nothing (default 3). This is the fallback stopping rule: a
+	// round that applies nothing first runs the weight certificate
+	// (matching.CertifyMaxWeight), which stops the driver at once where it
+	// proves M of maximum weight — on a bipartite graph whenever M is
+	// optimal and no zero-gain alternating walk or cycle exists, and never
+	// on a matching that is not optimal.
 	StallRounds int
 	MaxRounds   int
 	// Workers is the worker-pool width for the parallel candidate
@@ -100,9 +117,14 @@ type Result struct {
 	// Instances counts layered graphs built; in MPC each costs O(k)
 	// alternating-extension rounds (Lemma 5.5) and each resolution batch a
 	// further O(1) rounds (Lemmas 5.7/5.8), so EstMPCRounds is the round
-	// observable for Theorem 5.1.
+	// observable for Theorem 5.1. It charges neither the weighted fill nor
+	// the weight certificate.
 	Instances    int
 	EstMPCRounds int
+	// Certified reports that the driver stopped because
+	// matching.CertifyMaxWeight proved M of maximum weight; false means the
+	// stall rule or MaxRounds stopped it.
+	Certified bool
 }
 
 // OnePlusEpsWeightedCtx computes a (1+ε)-approximate maximum weight
@@ -178,6 +200,12 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 		weightedFill(m, order)
 		res.WalksApplied += applied
 		if applied == 0 {
+			// Certified optimal: every walk a later round could find has a
+			// float gain ≤ 0, and fill has nothing left to add. Stop.
+			if matching.CertifyMaxWeight(m) {
+				res.Certified = true
+				break
+			}
 			if retries < params.MaxRetries {
 				retries *= 2
 				if retries > params.MaxRetries {

@@ -2,6 +2,7 @@ package weighted
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -22,6 +23,61 @@ func TestDriverZeroWeightEdges(t *testing.T) {
 	}
 	if res.M.Weight() != 5 {
 		t.Fatalf("weight %v, want 5", res.M.Weight())
+	}
+}
+
+// TestDriverAlreadyOptimalStopsOnCertificate: a maximum-weight start is
+// proven optimal after the first round, which applies nothing.
+func TestDriverAlreadyOptimalStopsOnCertificate(t *testing.T) {
+	g := graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 2}})
+	res, err := OnePlusEpsWeightedCtx(context.Background(), g, graph.UniformBudgets(4, 1), nil, DefaultParams(0.5), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Certified || res.Rounds != 1 || res.WalksApplied != 0 || res.M.Weight() != 5 {
+		t.Fatalf("certified=%v rounds=%d walks=%d weight=%v, want a certified stop after 1 round at weight 5",
+			res.Certified, res.Rounds, res.WalksApplied, res.M.Weight())
+	}
+}
+
+// TestDriverTiesFallBackToStall: where a tie or an odd cycle keeps the
+// certificate silent, the stall rule stops the driver, and Rounds,
+// Instances and the matching are the values the driver gave before the
+// certificate existed.
+func TestDriverTiesFallBackToStall(t *testing.T) {
+	cases := []struct {
+		name                     string
+		g                        *graph.Graph
+		rounds, instances, walks int
+		edges                    []int32
+	}{
+		// 0.1 + 0.2 − 0.3 is 5.6e-17 in float, so the driver applies the
+		// walk that trades {12} for {01, 23}, and more after it.
+		{"decimal tie", graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 0.1}, {U: 1, V: 2, W: 0.3}, {U: 2, V: 3, W: 0.2}}),
+			10, 3360, 5, []int32{0, 2}},
+		// Fill never adds the zero-weight edge, and no walk gains by it.
+		{"addable zero-weight edge", graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 5}, {U: 2, V: 3, W: 0}}),
+			7, 3024, 0, []int32{0}},
+		{"C5", graph.Cycle(5), 7, 3024, 0, []int32{0, 2}},
+	}
+	for _, tc := range cases {
+		res, err := OnePlusEpsWeightedCtx(context.Background(), tc.g, graph.UniformBudgets(tc.g.N, 1), nil, DefaultParams(0.5), rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Certified {
+			t.Errorf("%s: certified", tc.name)
+		}
+		if matching.CertifyMaxWeight(res.M) {
+			t.Errorf("%s: final matching certifies", tc.name)
+		}
+		if res.Rounds != tc.rounds || res.Instances != tc.instances || res.WalksApplied != tc.walks {
+			t.Errorf("%s: rounds=%d instances=%d walks=%d, want the stall rule's %d/%d/%d",
+				tc.name, res.Rounds, res.Instances, res.WalksApplied, tc.rounds, tc.instances, tc.walks)
+		}
+		if got := res.M.Edges(); !slices.Equal(got, tc.edges) {
+			t.Errorf("%s: edges %v, want %v", tc.name, got, tc.edges)
+		}
 	}
 }
 
