@@ -1,7 +1,7 @@
-// Benchmarks: one testing.B target per experiment in DESIGN.md (E1–E12).
-// The benchmarks measure the wall-clock cost of each pipeline; the
-// corresponding correctness/shape tables are produced by cmd/experiments
-// and recorded in EXPERIMENTS.md.
+// Benchmarks: one testing.B target per experiment of cmd/experiments
+// (E1–E12). The benchmarks measure the wall-clock cost of each pipeline;
+// the corresponding correctness/shape tables are produced by
+// cmd/experiments (README "Reproducing the paper tables").
 package bmatch
 
 import (

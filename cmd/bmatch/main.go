@@ -47,10 +47,10 @@ var (
 	bFlag       = flag.Int("b", 2, "uniform budget (0 = random in [1,4])")
 	epsFlag     = flag.Float64("eps", 0.25, "approximation slack for (1+eps) algorithms")
 	seedFlag    = flag.Int64("seed", 1, "random seed")
-	workersFlag = flag.Int("workers", 0, "solver-internal parallelism (0 = serial; output is identical for every value)")
+	workersFlag = flag.Int("workers", 0, "solver-internal parallelism (0 = GOMAXPROCS; output is identical for every value)")
 	wFlag       = flag.Bool("weighted", false, "draw uniform weights in [1,10) (generators)")
 	valuesFlag  = flag.String("values", "", "solver value precision for -algo frac: f64 (default) or f32 (halved hot-vector traffic, see README \"Value modes\")")
-	paperFlag   = flag.Bool("paper", false, "use the paper's exact constants (see DESIGN.md)")
+	paperFlag   = flag.Bool("paper", false, "use the paper's exact constants (T = floor(log2(N)/1000) local iterations per compression step, 0 for every N below 2^1000)")
 	convertFlag = flag.String("convert", "", "write the instance to this file in BMG1 binary format and exit (no solve)")
 	streamFlag  = flag.String("stream-out", "", "generate straight to this BMG1 file edge by edge and exit (no solve; O(1) extra memory, so 10^8-edge instances are fine; -gen gnm or bipartite)")
 )

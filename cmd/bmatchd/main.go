@@ -1,6 +1,6 @@
 // Command bmatchd is the b-matching daemon: an HTTP/JSON service that
 // solves b-matching instances with long-lived solver sessions, a
-// content-hash instance cache, a sharded result cache, and bounded
+// content-hash instance cache, an LRU result cache, and bounded
 // request batching across a worker pool. The solver state lives in
 // internal/engine (transport-free); this binary wires it to the
 // internal/httpapi HTTP surface.
@@ -63,7 +63,6 @@ var (
 	solverWFlag   = flag.Int("solver-workers", 0, "per-solve internal parallelism (0 = default of 1)")
 	instancesFlag = flag.Int("cache-instances", 0, "instance cache entries (0 = default of 32)")
 	resultsFlag   = flag.Int("cache-results", 0, "result cache entries (0 = default of 256)")
-	shardsFlag    = flag.Int("cache-shards", 0, "independent result-cache shards (0 = default of 16)")
 	maxBodyFlag   = flag.Int64("max-body", 0, "max request body bytes (0 = default of 256 MiB)")
 	decodeFlag    = flag.Int("decode-slots", 0, "max concurrent request decodes (0 = 2x workers)")
 	maxNFlag      = flag.Int("max-vertices", 0, "max vertices per instance (0 = default of 2^24, negative = unlimited)")
@@ -170,7 +169,6 @@ func main() {
 		Cache: engine.CacheConfig{
 			MaxInstances: *instancesFlag,
 			MaxResults:   *resultsFlag,
-			Shards:       *shardsFlag,
 		},
 	})
 	// Clamp client deadlines below the connection write timeout, so an

@@ -1,6 +1,7 @@
-// Command experiments regenerates every experiment table and series listed
-// in DESIGN.md (E1–E12; F1–F3 are tests). Each experiment validates one
-// quantitative claim of the paper; EXPERIMENTS.md records claim vs measured.
+// Command experiments regenerates every experiment table and series
+// (E1–E12). Each experiment validates one quantitative claim of the paper
+// and prints the claim above the measured table (README "Reproducing the
+// paper tables").
 //
 // Usage:
 //

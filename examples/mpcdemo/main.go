@@ -17,8 +17,9 @@ import (
 )
 
 func main() {
-	// Dense core + sparse fringe: the workload where the doubling process
-	// genuinely needs Θ(log d̄) rounds (see DESIGN.md / EXPERIMENTS.md).
+	// Dense core + sparse fringe: the core drives d̄ up, so fringe vertices
+	// start at q_v = 0.8·b_v/d̄ and the doubling process genuinely needs
+	// Θ(log d̄) rounds (graph.CoreFringe).
 	r := rng.New(99)
 	g := graph.CoreFringe(1000, 1000*200, 3000, 1500, r.Split())
 	b := graph.RandomBudgets(g.N, 1, 3, r.Split())

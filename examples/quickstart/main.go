@@ -38,18 +38,19 @@ func main() {
 	fmt.Printf("  max edges on one machine = %d (Õ(n) bound, n = %d)\n",
 		rep.Stats.MaxMachineEdges, g.N)
 
-	// (1+ε)-approximation (Theorem 4.1), with a live progress sample:
-	// Request.Progress fires at solver round/superstep checkpoints.
-	var checkpoints int64
+	// (1+ε)-approximation (Theorem 4.1), with a live progress callback:
+	// Request.Progress fires at solver round/superstep checkpoints. How
+	// often it fires counts the solver's work, so only the fact is printed.
+	progressed := false
 	rep2, err := bmatch.Solve(ctx, g, b, bmatch.Request{
 		Algo: bmatch.AlgoMax, Seed: 1, Eps: 0.25,
-		Progress: func(p bmatch.Progress) { checkpoints = p.Checkpoints },
+		Progress: func(bmatch.Progress) { progressed = true },
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nTheorem 4.1 ((1+ε)-approx, ε=0.25):\n  |M| = %d (%d solver checkpoints observed)\n",
-		rep2.Size, checkpoints)
+	fmt.Printf("\nTheorem 4.1 ((1+ε)-approx, ε=0.25):\n  |M| = %d (progress reported: %t)\n",
+		rep2.Size, progressed)
 
 	// Semi-streaming (Section 4.6) through the same Request contract.
 	srep, err := bmatch.SolveStream(ctx, bmatch.NewSliceStream(g), g.N, b,

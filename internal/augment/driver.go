@@ -24,6 +24,7 @@ import (
 	"repro/internal/matching"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/round"
 	"repro/internal/scratch"
 )
 
@@ -133,7 +134,7 @@ func OnePlusEpsCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, initial
 	}
 	// Maximality first: it removes all length-1 augmenting walks and is the
 	// Θ(1)-approximate baseline of Lemma 4.6 when no better start is given.
-	greedyFill(m)
+	round.GreedyFill(m, false)
 
 	res := &Result{M: m, SizeStart: m.Size()}
 	K := params.MaxK()
@@ -153,7 +154,7 @@ func OnePlusEpsCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, initial
 		}
 		// Applying walks can open room for plain edge additions; keep the
 		// matching maximal between sweeps.
-		greedyFill(m)
+		round.GreedyFill(m, false)
 		res.WalksApplied += appliedThisSweep
 		if appliedThisSweep == 0 {
 			// A maximum matching admits no augmenting walk and leaves greedy
@@ -243,16 +244,4 @@ func runTries(ctx context.Context, m *matching.BMatching, k, retries, workers in
 		}
 	}
 	return applied, nil
-}
-
-// greedyFill adds any addable edge (maximality).
-func greedyFill(m *matching.BMatching) {
-	g := m.Graph()
-	for e := 0; e < g.M(); e++ {
-		if m.CanAdd(int32(e)) {
-			if err := m.Add(int32(e)); err != nil {
-				panic(err) // CanAdd just returned true
-			}
-		}
-	}
 }

@@ -84,14 +84,13 @@ func BenchmarkSolvePerRequest(b *testing.B) {
 	})
 }
 
-// BenchmarkCacheContention measures the result-cache hit path under ≥16
-// concurrent cached solves on distinct keys — the pool's steady state when
-// a hot instance is re-requested with many seeds. With one shard every hit
-// serializes on a single mutex (each hit is a MoveToFront, i.e. a write);
-// sharding spreads the keys over independent locks. The deltas need
-// multiple cores to show: on a single-CPU box the goroutines serialize
-// either way. BenchmarkCacheContentionRaw isolates the lock+LRU cost from
-// the Solve wrapper.
+// BenchmarkCacheContention measures the result-cache hit path under 16
+// concurrent cached solves on distinct keys: the pool's steady state when
+// a hot instance is re-requested with many seeds. Every hit is an LRU
+// MoveToFront under the cache's one mutex. Contention needs multiple cores
+// to show: on a single-CPU box the goroutines serialize either way.
+// BenchmarkCacheContentionRaw isolates the lock+LRU cost from the Solve
+// wrapper.
 func BenchmarkCacheContention(b *testing.B) {
 	r := rng.New(9)
 	g, bud := graph.ClientServer(200, 12, 4, 3, 20, r.Split())
@@ -99,52 +98,46 @@ func BenchmarkCacheContention(b *testing.B) {
 	const distinctSeeds = 64
 	ctx := context.Background()
 
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cache := NewCache(CacheConfig{MaxResults: 1024, Shards: shards})
-			warm := NewSession(cache)
-			inst, err := warm.InstanceFromGraph(g, bud)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for seed := int64(0); seed < distinctSeeds; seed++ {
-				if _, err := warm.Solve(ctx, inst, Spec{Algo: AlgoGreedy, Seed: seed}); err != nil {
-					b.Fatal(err)
+	cache := NewCache(CacheConfig{MaxResults: 1024})
+	warm := NewSession(cache)
+	inst, err := warm.InstanceFromGraph(g, bud)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for seed := int64(0); seed < distinctSeeds; seed++ {
+		if _, err := warm.Solve(ctx, inst, Spec{Algo: AlgoGreedy, Seed: seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	per := (b.N + conc - 1) / conc
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < conc; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := NewSession(cache)
+			for i := 0; i < per; i++ {
+				seed := int64((w*per + i) % distinctSeeds)
+				res, err := s.Solve(ctx, inst, Spec{Algo: AlgoGreedy, Seed: seed})
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if !res.FromCache {
+					b.Error("expected a result-cache hit")
+					return
 				}
 			}
-			per := (b.N + conc - 1) / conc
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < conc; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					s := NewSession(cache)
-					for i := 0; i < per; i++ {
-						seed := int64((w*per + i) % distinctSeeds)
-						res, err := s.Solve(ctx, inst, Spec{Algo: AlgoGreedy, Seed: seed})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if !res.FromCache {
-							b.Error("expected a result-cache hit")
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
+		}(w)
 	}
+	wg.Wait()
 }
 
 // BenchmarkCacheContentionRaw is the pure lock-path variant: 16 goroutines
 // hammering lookupResult on 64 resident keys, nothing else on the hot
-// path. This is where the single-mutex vs sharded difference is starkest
-// on multi-core hardware. (Only the result cache shards; instances keep
-// one exact-capacity LRU — see the Cache doc comment.)
+// path.
 func BenchmarkCacheContentionRaw(b *testing.B) {
 	const conc = 16
 	const distinctKeys = 64
@@ -152,29 +145,25 @@ func BenchmarkCacheContentionRaw(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("instancehash|greedy|0.25|%d|false", i)
 	}
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cache := NewCache(CacheConfig{MaxResults: 1024, Shards: shards})
-			for i, k := range keys {
-				cache.storeResult(k, &Result{Size: i})
-			}
-			per := (b.N + conc - 1) / conc
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < conc; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if _, ok := cache.lookupResult(keys[(w*per+i)%distinctKeys]); !ok {
-							b.Error("expected a hit")
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
+	cache := NewCache(CacheConfig{MaxResults: 1024})
+	for i, k := range keys {
+		cache.storeResult(k, &Result{Size: i})
 	}
+	per := (b.N + conc - 1) / conc
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < conc; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, ok := cache.lookupResult(keys[(w*per+i)%distinctKeys]); !ok {
+					b.Error("expected a hit")
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

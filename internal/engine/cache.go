@@ -51,27 +51,12 @@ func (l *lru) add(k string, v any) {
 func (l *lru) len() int { return l.ll.Len() }
 
 // CacheConfig bounds the shared cache. Zero values select the defaults.
+// Both bounds are exact: each kind lives in one LRU.
 type CacheConfig struct {
-	// MaxInstances bounds decoded graphs kept resident (default 32). The
-	// bound is exact: instances are few and each can pin a very large
-	// graph, so they live in one LRU rather than being split across
-	// shards.
+	// MaxInstances bounds decoded graphs kept resident (default 32).
 	MaxInstances int
-	// MaxResults bounds cached solve results (default 256). The bound is
-	// exact: MaxResults is distributed over the shards (remainder to the
-	// first shards), and the shard count is reduced if it would exceed
-	// MaxResults.
+	// MaxResults bounds cached solve results (default 256).
 	MaxResults int
-	// Shards is the number of independent result-cache shards (default 16,
-	// rounded to a power of two). Result keys are spread over the shards,
-	// each behind its own mutex, so concurrent cached solves on distinct
-	// keys do not contend on one lock — every hit is an LRU MoveToFront,
-	// i.e. a write. The flip side of per-shard LRUs is per-shard eviction:
-	// a hot set hash-skewed onto one shard can evict there while other
-	// shards have room, so keep MaxResults comfortably above the hot-set
-	// size (the 16× default ratio makes meaningful skew unlikely). Set 1
-	// for a single unsharded cache.
-	Shards int
 }
 
 func (c CacheConfig) withDefaults() CacheConfig {
@@ -81,28 +66,11 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	if c.MaxResults <= 0 {
 		c.MaxResults = 256
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod —
-	// then halve until every shard gets at least one result slot, so tiny
-	// MaxResults values keep their bound exact instead of inflating to one
-	// entry per shard.
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	for n > 1 && n > c.MaxResults {
-		n >>= 1
-	}
-	c.Shards = n
 	return c
 }
 
-// CacheStats are the cache's observability counters, aggregated over all
-// shards.
+// CacheStats are the cache's observability counters.
 type CacheStats struct {
-	Shards            int   `json:"shards"`
 	Instances         int   `json:"instances"`
 	Results           int   `json:"results"`
 	InstanceHits      int64 `json:"instanceHits"`
@@ -113,85 +81,41 @@ type CacheStats struct {
 	ResultEvictions   int64 `json:"resultEvictions"`
 }
 
-// resultShard is one independent slice of the result cache: its own mutex,
-// LRU, and hit/miss counters. Keys are distributed across shards by hash,
-// so a shard never needs to see another shard's state.
-type resultShard struct {
-	mu      sync.Mutex
-	results *lru // result key → *Result
-	hits,
-	misses int64
-}
-
 // Cache is the shared instance/result cache. Instances are keyed by the
 // content hash of their canonical binary graphio encoding, so the same
 // graph posted in text and binary form shares one entry; an alias table
 // maps raw payload hashes to canonical keys so repeat posts skip both
-// parsing and re-encoding. Safe for concurrent use.
-//
-// The result cache — many distinct keys (instance × algo × ε × seed), hit
-// on every cached solve — is split across N independent shards with a
-// per-shard mutex, so ≥16 concurrent cached solves on distinct keys do
-// not serialize on one lock. Instances and aliases deliberately stay
-// behind a single mutex: they are few (so splitting MaxInstances across
-// shards would shrink each slice to nothing and cause re-decode thrash),
-// each entry can pin an enormous graph (so the residency bound must be
-// exact), and lookups of one hot instance would all land on a single
-// shard anyway.
+// parsing and re-encoding. Results are keyed by resultKey. Safe for
+// concurrent use: one mutex guards all three LRUs, whose operations are
+// map lookups and list moves.
 type Cache struct {
-	instMu    sync.Mutex
+	mu        sync.Mutex
 	instances *lru // canonical key → *Instance
 	aliases   *lru // payload hash → canonical key
+	results   *lru // result key → *Result
 	instHits,
-	instMisses int64
-
-	shards []resultShard
-	mask   uint32
+	instMisses,
+	resHits,
+	resMisses int64
 }
 
 // NewCache returns a cache with the given bounds.
 func NewCache(cfg CacheConfig) *Cache {
 	cfg = cfg.withDefaults()
-	c := &Cache{
+	return &Cache{
 		instances: newLRU(cfg.MaxInstances),
 		// Aliases are tiny (two hashes); keep more of them than instances
 		// so re-posts in several formats stay cheap.
 		aliases: newLRU(4 * cfg.MaxInstances),
-		shards:  make([]resultShard, cfg.Shards),
-		mask:    uint32(cfg.Shards - 1),
+		results: newLRU(cfg.MaxResults),
 	}
-	// Distribute MaxResults exactly: the first (MaxResults mod Shards)
-	// shards get one extra slot, so the summed capacity equals the
-	// configured bound instead of ceil-rounding past it.
-	per, extra := cfg.MaxResults/cfg.Shards, cfg.MaxResults%cfg.Shards
-	for i := range c.shards {
-		capI := per
-		if i < extra {
-			capI++
-		}
-		c.shards[i].results = newLRU(capI)
-	}
-	return c
-}
-
-// shard routes a result key to its shard by FNV-1a over the key bytes.
-// Result keys embed the instance content hash, so any prefix would do, but
-// hashing the whole key keeps the routing correct for arbitrary key
-// shapes.
-func (c *Cache) shard(key string) *resultShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h&c.mask]
 }
 
 // lookupPayload resolves a raw payload hash to a cached instance, if the
 // alias and the instance it points at are both still resident.
 func (c *Cache) lookupPayload(payloadKey string) (*Instance, bool) {
-	c.instMu.Lock()
-	defer c.instMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if ck, ok := c.aliases.get(payloadKey); ok {
 		if inst, ok := c.instances.get(ck.(string)); ok {
 			c.instHits++
@@ -206,8 +130,8 @@ func (c *Cache) lookupPayload(payloadKey string) (*Instance, bool) {
 // payload hash to it. It returns the resident copy, which may be an
 // existing entry when two payloads decode to the same graph.
 func (c *Cache) storeInstance(payloadKey string, inst *Instance) *Instance {
-	c.instMu.Lock()
-	defer c.instMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if cur, ok := c.instances.get(inst.Key); ok {
 		inst = cur.(*Instance)
 	} else {
@@ -219,48 +143,40 @@ func (c *Cache) storeInstance(payloadKey string, inst *Instance) *Instance {
 
 // addAlias links an additional payload hash to a resident instance key.
 func (c *Cache) addAlias(payloadKey, instanceKey string) {
-	c.instMu.Lock()
-	defer c.instMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.aliases.add(payloadKey, instanceKey)
 }
 
 func (c *Cache) lookupResult(key string) (*Result, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if v, ok := sh.results.get(key); ok {
-		sh.hits++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.results.get(key); ok {
+		c.resHits++
 		return v.(*Result), true
 	}
-	sh.misses++
+	c.resMisses++
 	return nil, false
 }
 
 func (c *Cache) storeResult(key string, res *Result) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	sh.results.add(key, res)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.results.add(key, res)
 }
 
-// Stats returns a snapshot of the counters and occupancy, summed over
-// shards.
+// Stats returns a snapshot of the counters and occupancy.
 func (c *Cache) Stats() CacheStats {
-	s := CacheStats{Shards: len(c.shards)}
-	c.instMu.Lock()
-	s.Instances = c.instances.len()
-	s.InstanceHits = c.instHits
-	s.InstanceMisses = c.instMisses
-	s.InstanceEvictions = c.instances.evictions
-	c.instMu.Unlock()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Results += sh.results.len()
-		s.ResultHits += sh.hits
-		s.ResultMisses += sh.misses
-		s.ResultEvictions += sh.results.evictions
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Instances:         c.instances.len(),
+		Results:           c.results.len(),
+		InstanceHits:      c.instHits,
+		InstanceMisses:    c.instMisses,
+		InstanceEvictions: c.instances.evictions,
+		ResultHits:        c.resHits,
+		ResultMisses:      c.resMisses,
+		ResultEvictions:   c.results.evictions,
 	}
-	return s
 }

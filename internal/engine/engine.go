@@ -1,7 +1,7 @@
 // Package engine is the transport-free serving engine over the solver
 // library: the unified Spec/Result solve contract and its direct Solve
 // dispatch, long-lived sessions that reuse decode/encode buffers across
-// solves, a content-hash instance cache plus a sharded result cache, a
+// solves, a content-hash instance cache plus an LRU result cache, a
 // bounded worker pool with opportunistic request batching and cooperative
 // cancellation, and an async job registry (Jobs) with checkpoint-sampled
 // progress and TTL-retained results. The bmatch facade's Solve/Session and

@@ -113,23 +113,18 @@ func TestPoolBatching(t *testing.T) {
 	}
 }
 
-// TestShardedCacheEvictions pins the sharded LRU's accounting: occupancy
-// never exceeds the configured bound (± the per-shard rounding) and every
-// displaced entry is counted as an eviction.
+// TestShardedCacheEvictions pins the result LRU's accounting: occupancy
+// equals the configured bound once it is full, and every displaced entry
+// is counted as an eviction.
 func TestShardedCacheEvictions(t *testing.T) {
 	const maxResults = 8
-	c := NewCache(CacheConfig{MaxResults: maxResults, Shards: 4})
+	c := NewCache(CacheConfig{MaxResults: maxResults})
 	const inserts = 100
 	for i := 0; i < inserts; i++ {
 		key := fmt.Sprintf("result-%d", i)
 		c.storeResult(key, &Result{Size: i})
 	}
 	st := c.Stats()
-	if st.Shards != 4 {
-		t.Fatalf("shards = %d, want 4", st.Shards)
-	}
-	// MaxResults is distributed exactly (2 per shard here), so with every
-	// shard saturated the residency equals the configured bound.
 	if st.Results != maxResults {
 		t.Fatalf("results resident = %d, want %d", st.Results, maxResults)
 	}
@@ -153,24 +148,13 @@ func TestShardedCacheEvictions(t *testing.T) {
 	if st.ResultHits != int64(hits) || st.ResultMisses != int64(misses) {
 		t.Fatalf("hit/miss counters %d/%d, want %d/%d", st.ResultHits, st.ResultMisses, hits, misses)
 	}
-
-	// A MaxResults below the shard count must shrink the shard count, not
-	// inflate the bound to one entry per shard.
-	small := NewCache(CacheConfig{MaxResults: 3, Shards: 16})
-	for i := 0; i < 50; i++ {
-		small.storeResult(fmt.Sprintf("k%d", i), &Result{Size: i})
-	}
-	if sst := small.Stats(); sst.Results > 3 {
-		t.Fatalf("MaxResults=3 cache holds %d results (shards=%d)", sst.Results, sst.Shards)
-	}
 }
 
 // TestShardedCacheSharesInstances: the same graph interned through many
-// concurrent sessions resolves to one shared *Instance, regardless of
-// which shard its keys land on.
+// concurrent sessions resolves to one shared *Instance.
 func TestShardedCacheSharesInstances(t *testing.T) {
 	_, _, payload := testInstancePayload(t)
-	c := NewCache(CacheConfig{Shards: 8})
+	c := NewCache(CacheConfig{})
 	const goroutines = 16
 	insts := make([]*Instance, goroutines)
 	var wg sync.WaitGroup

@@ -15,8 +15,10 @@ import (
 // drivers.
 //
 // Checkpoint totals are deterministic for a given (instance, Spec) when
-// Workers ≤ 1; parallel waves skip per-item checks nondeterministically, so
-// treat the count as a rate signal, not an exact replayable quantity.
+// the drivers run on one worker: Workers = 1, or 0 where it resolves to one
+// (a pool's default SolverWorkers, or GOMAXPROCS = 1 elsewhere). Parallel
+// waves skip per-item checks nondeterministically, so treat the count as a
+// rate signal, not an exact replayable quantity.
 type Progress struct {
 	// Checkpoints is the number of solver round/superstep boundaries
 	// passed so far.

@@ -8,7 +8,8 @@
 //   - Min-cost-flow: exact maximum-weight b-matching on bipartite graphs.
 //
 // Exact general-graph weighted b-matching (Pulleyblank's algorithm) is out
-// of scope; see DESIGN.md ("Substitutions").
+// of scope: callers check general graphs against BruteForce on small
+// instances, and larger ones only on bipartite graphs.
 package exact
 
 import (
@@ -178,7 +179,7 @@ func (d *dinic) dfs(v, t int, f int64) int64 {
 	for ; d.iter[v] < len(d.adj[v]); d.iter[v]++ {
 		e := &d.adj[v][d.iter[v]]
 		if e.cap > 0 && d.level[v] < d.level[e.to] {
-			got := d.dfs(e.to, t, min64(f, e.cap))
+			got := d.dfs(e.to, t, min(f, e.cap))
 			if got > 0 {
 				e.cap -= got
 				d.adj[e.to][e.rev].cap += got
@@ -289,11 +290,4 @@ func TopWeights(g *graph.Graph, k int) float64 {
 		s += ws[i]
 	}
 	return s
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -34,12 +34,16 @@ type FullResult struct {
 	TotalSimRounds  int        // total MPC communication rounds
 	MaxMachineEdges int        // max edges resident on one machine (Lemma 3.28)
 	History         []IterStat // per-iteration series
-	Converged       bool       // E_active became empty within MaxIterations
+	Converged       bool       // E_active became empty within maxIterations
 	// SimStats aggregates the simulator observables across all compression
 	// steps: Rounds and TotalTraffic sum over steps, MaxRoundIO and
 	// MaxMachineWords are maxima (each step runs on a fresh cluster).
 	SimStats mpc.Stats
 }
+
+// maxIterations bounds FullMPC's while-loop. It is a safety net: the paper
+// proves O(log log d̄) iterations suffice with constant probability.
+const maxIterations = 200
 
 // FullMPCCtx runs Algorithm 3 and returns the accumulated fractional
 // solution together with the round/memory measurements. On return, if
@@ -89,10 +93,14 @@ func fullMPC[V Val](ctx context.Context, p *Problem, params MPCParams, r *rng.RN
 	// Degree-balanced vertex blocks of the full graph, computed once and
 	// reused by every iteration's fused vertex-sum gathers.
 	vb := vertexBlocksScratch(g, vertexWorkGrain, ar)
-	switchBelow := params.SwitchFactor * float64(n) * math.Log2(float64(n)+2)
+	// The driver switches to the sequential finish below n·log₂ n active
+	// edges. The paper's threshold, n·log¹⁰ n, exceeds the n² edges of any
+	// simple graph for every n below 10^15, so with it no compression step
+	// would ever run.
+	switchBelow := float64(n) * math.Log2(float64(n)+2)
 	stallStreak := 0
 
-	for iter := 0; iter < params.MaxIterations && len(active) > 0; iter++ {
+	for iter := 0; iter < maxIterations && len(active) > 0; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -133,12 +133,9 @@ func TestSequentialParallelEdges(t *testing.T) {
 }
 
 func TestPickTRespectsBounds(t *testing.T) {
-	p := MPCParams{TDivisor: 2, MinT: 1, MaxT: 3}
+	p := MPCParams{TDivisor: 2, MinT: 1}
 	if got := p.pickT(4); got != 1 {
 		t.Fatalf("pickT(4) = %d, want 1 (floor(2/2)=1)", got)
-	}
-	if got := p.pickT(1 << 20); got != 3 {
-		t.Fatalf("pickT(2^20) = %d, want capped 3", got)
 	}
 	paper := PaperParams()
 	if got := paper.pickT(1024); got != 0 {

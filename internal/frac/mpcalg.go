@@ -40,16 +40,6 @@ type MPCParams struct {
 	// MinT is a floor on T ("practical mode"). 0 reproduces the paper
 	// formula verbatim.
 	MinT int
-	// MaxT caps T when positive.
-	MaxT int
-	// SwitchFactor: FullMPC switches to the sequential solver when the
-	// active subgraph has fewer than SwitchFactor·n·log2(n) edges. The paper
-	// uses n·log^10(n); that regime is unreachable at laptop scale (see
-	// DESIGN.md), so the factor is a knob with default 1 (i.e. n·log n).
-	SwitchFactor float64
-	// MaxIterations bounds the FullMPC while-loop (safety net; the paper
-	// proves O(log log d̄) iterations suffice with constant probability).
-	MaxIterations int
 	// InitNoClamp selects the ablated initialization q_v = 0.8·b_v/deg(v)
 	// instead of the paper's q_v = 0.8·b_v/max(d̄, deg(v)). The paper warns
 	// (Section 1.4) that the unclamped rule gives low-degree vertices edge
@@ -78,25 +68,23 @@ type MPCParams struct {
 	Values ValueMode
 }
 
-// PaperParams returns the constants exactly as in the paper (TDivisor 1000),
-// with the documented laptop-scale switch threshold.
+// PaperParams returns the constants exactly as in the paper (TDivisor 1000).
+// FullMPC's switch to the sequential finish is the same for both
+// constructors.
 func PaperParams() MPCParams {
-	return MPCParams{TDivisor: 1000, SwitchFactor: 1, MaxIterations: 200}
+	return MPCParams{TDivisor: 1000}
 }
 
 // PracticalParams returns the practical-mode constants used by the
 // experiments: T = max(1, ⌊log2(N)/2⌋), same algorithm otherwise.
 func PracticalParams() MPCParams {
-	return MPCParams{TDivisor: 2, MinT: 1, SwitchFactor: 1, MaxIterations: 200}
+	return MPCParams{TDivisor: 2, MinT: 1}
 }
 
 func (p MPCParams) pickT(n int) int {
 	t := int(math.Floor(math.Log2(float64(n)) / p.TDivisor))
 	if t < p.MinT {
 		t = p.MinT
-	}
-	if p.MaxT > 0 && t > p.MaxT {
-		t = p.MaxT
 	}
 	return t
 }
@@ -204,7 +192,7 @@ func oneRoundMPC[V Val](ctx context.Context, w View[V], params MPCParams, thresh
 	// cluster is sized so that total memory O(m+n) spreads into O(n)-word
 	// machines.
 	mtot := N
-	if extra := (m + n - 1) / maxInt(n, 1); extra > mtot {
+	if extra := (m + n - 1) / max(n, 1); extra > mtot {
 		mtot = extra
 	}
 	sim, err := mpc.NewSimWithTransport(mtot, params.Workers, params.Transport)
@@ -617,7 +605,7 @@ func oneRoundMPC[V Val](ctx context.Context, w View[V], params MPCParams, thresh
 		touched := a2.I32Raw(2 * len(mine))[:0]
 		for _, e := range mine {
 			ed := g.Edges[e]
-			horizon := minInt32(last[ed.U], last[ed.V])
+			horizon := min(last[ed.U], last[ed.V])
 			// Doubling a V value is exact in float64 (an exponent bump of a
 			// V-representable number), so V(cur) re-stores without rounding
 			// and the float64 partials sum exactly the stored values —
@@ -802,18 +790,4 @@ func oneRoundMPC[V Val](ctx context.Context, w View[V], params MPCParams, thresh
 		maxMachineEdges: maxMachineEdges,
 		stats:           sim.Stats(),
 	}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

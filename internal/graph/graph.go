@@ -254,15 +254,6 @@ func (g *Graph) MaxDeg() int {
 	return max
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for _, e := range g.Edges {
-		s += e.W
-	}
-	return s
-}
-
 // IsBipartite reports whether the graph is bipartite, and if so returns a
 // 2-coloring side[v] ∈ {0,1}. Used by the exact flow-based comparators.
 func (g *Graph) IsBipartite() (side []int8, ok bool) {

@@ -20,8 +20,8 @@ type SLO struct {
 	// unchecked; a pointer to 0 means any unexpected failure violates.
 	MaxErrorRate *float64 `json:"maxErrorRate,omitempty"`
 	// MinCacheHitRate floors the cached=true fraction of OK replies — the
-	// Zipf-popularity workloads exist to keep the sharded caches hot, and
-	// a silent cache regression shows up here first.
+	// Zipf-popularity workloads exist to keep the caches hot, and a silent
+	// cache regression shows up here first.
 	MinCacheHitRate float64 `json:"minCacheHitRate,omitempty"`
 	// MinGoodputRate floors OK replies per second of wall clock.
 	MinGoodputRate float64 `json:"minGoodputRate,omitempty"`

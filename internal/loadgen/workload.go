@@ -73,7 +73,7 @@ type Spec struct {
 	// ZipfS is the popularity skew across the corpus: instance i is drawn
 	// with probability ∝ 1/(i+1)^ZipfS. 0 is uniform; ~1 is web-like skew
 	// that concentrates load on a few hot instances and exercises the
-	// sharded instance/result caches.
+	// instance/result caches.
 	ZipfS float64 `json:"zipfS"`
 	// SeedStreams is how many distinct request seeds the workload cycles
 	// through (drawn per request). Together with ZipfS it controls the

@@ -23,7 +23,6 @@ type Worker struct {
 	limits Limits
 
 	active atomic.Int64 // open coordinator connections; tests assert release
-	served atomic.Int64 // total connections ever accepted
 
 	mu     sync.Mutex
 	closed bool
@@ -53,10 +52,6 @@ func (w *Worker) Addr() net.Addr { return w.ln.Addr() }
 // Cancellation tests assert it returns to zero after teardown.
 func (w *Worker) ActiveConns() int64 { return w.active.Load() }
 
-// ServedConns is the total number of coordinator connections ever
-// accepted.
-func (w *Worker) ServedConns() int64 { return w.served.Load() }
-
 // Serve accepts coordinator connections until Close. It returns nil after
 // Close, or the listener's error otherwise.
 func (w *Worker) Serve() error {
@@ -81,7 +76,6 @@ func (w *Worker) Serve() error {
 		w.wg.Add(1)
 		w.mu.Unlock()
 		w.active.Add(1)
-		w.served.Add(1)
 		go func() {
 			defer w.wg.Done()
 			defer w.active.Add(-1)

@@ -17,17 +17,17 @@ import (
 	"repro/internal/scratch"
 )
 
+// Each trial samples edge e with probability x_e/sampleDivisor (Lemma
+// 3.3), and RoundCtx keeps the largest of repeats independent trials (the
+// paper's parallel repetition, which boosts the success probability to any
+// desired constant).
+const (
+	sampleDivisor = 4
+	repeats       = 16
+)
+
 // Params controls the rounding.
 type Params struct {
-	// SampleDivisor: edges are sampled with probability x_e/SampleDivisor.
-	// The paper uses 4.
-	SampleDivisor float64
-	// Repeats: independent trials; the largest resulting matching is kept
-	// (the paper's parallel repetition for boosting success probability).
-	Repeats int
-	// Weighted selects weight (instead of cardinality) as the maximized
-	// objective across repeats.
-	Weighted bool
 	// Workers is the worker-pool width for running the repeats in
 	// parallel; 0 selects GOMAXPROCS. The result is identical for every
 	// value: each trial's RNG is split off deterministically up front and
@@ -35,27 +35,28 @@ type Params struct {
 	Workers int
 }
 
-// DefaultParams returns the paper's constants with 16 repeats.
-func DefaultParams() Params { return Params{SampleDivisor: 4, Repeats: 16} }
+// DefaultParams returns the zero Params: repeats run on GOMAXPROCS
+// workers.
+func DefaultParams() Params { return Params{} }
 
 // Sample performs one trial of the Lemma 3.3 scheme and returns a valid
 // b-matching.
-func Sample(g *graph.Graph, b graph.Budgets, x []float64, div float64, r *rng.RNG) *matching.BMatching {
+func Sample(g *graph.Graph, b graph.Budgets, x []float64, r *rng.RNG) *matching.BMatching {
 	ar, done := scratch.Borrow(nil)
 	defer done()
-	return sampleScratch(g, b, x, div, r, ar)
+	return sampleScratch(g, b, x, r, ar)
 }
 
 // sampleScratch is Sample drawing its trial-local buffers (sample list,
 // endpoint counters) from ar; only the returned matching is allocated.
-func sampleScratch(g *graph.Graph, b graph.Budgets, x []float64, div float64, r *rng.RNG, ar *scratch.Arena) *matching.BMatching {
+func sampleScratch(g *graph.Graph, b graph.Budgets, x []float64, r *rng.RNG, ar *scratch.Arena) *matching.BMatching {
 	sampled := ar.I32Raw(len(x) / 2)[:0]
 	cnt := ar.I32(g.N)
 	for e := range x {
 		if x[e] <= 0 {
 			continue
 		}
-		if r.Bernoulli(x[e] / div) {
+		if r.Bernoulli(x[e] / sampleDivisor) {
 			ed := g.Edges[e]
 			sampled = append(sampled, int32(e))
 			cnt[ed.U]++
@@ -76,26 +77,20 @@ func sampleScratch(g *graph.Graph, b graph.Budgets, x []float64, div float64, r 
 	return m
 }
 
-// RoundCtx runs Params.Repeats independent trials and returns the best
+// RoundCtx runs repeats independent trials and returns the largest
 // b-matching found. Trials still running when ctx is cancelled are skipped
 // (each trial checks ctx before it starts), and a cancelled call returns
 // ctx's error with no partial matching. A completed call does not depend on
 // ctx: the trial RNGs are split off up front and the winner scan is
 // serial.
 func RoundCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, x []float64, p Params, r *rng.RNG) (*matching.BMatching, error) {
-	if p.SampleDivisor <= 0 {
-		p.SampleDivisor = 4
-	}
-	if p.Repeats < 1 {
-		p.Repeats = 1
-	}
-	rs := make([]*rng.RNG, p.Repeats)
+	rs := make([]*rng.RNG, repeats)
 	for t := range rs {
 		rs[t] = r.Split()
 	}
-	trials := make([]*matching.BMatching, p.Repeats)
+	trials := make([]*matching.BMatching, repeats)
 	//lint:parallel trials write only their own slot with pre-split RNGs; the best trial is picked serially in trial order
-	par.ParallelFor(p.Workers, p.Repeats, func(t int) {
+	par.ParallelFor(p.Workers, repeats, func(t int) {
 		if ctx.Err() != nil {
 			return // result discarded below; skipping frees the pool fast
 		}
@@ -103,22 +98,14 @@ func RoundCtx(ctx context.Context, g *graph.Graph, b graph.Budgets, x []float64,
 		// rather than sharing one; arena contents never affect the sample.
 		ar, done := scratch.Borrow(nil)
 		defer done()
-		trials[t] = sampleScratch(g, b, x, p.SampleDivisor, rs[t], ar)
+		trials[t] = sampleScratch(g, b, x, rs[t], ar)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var best *matching.BMatching
-	for _, m := range trials {
-		if best == nil {
-			best = m
-			continue
-		}
-		if p.Weighted {
-			if m.Weight() > best.Weight() {
-				best = m
-			}
-		} else if m.Size() > best.Size() {
+	best := trials[0]
+	for _, m := range trials[1:] {
+		if m.Size() > best.Size() {
 			best = m
 		}
 	}
@@ -135,13 +122,12 @@ func GreedyFill(m *matching.BMatching, weighted bool) {
 	var order []int32
 	if weighted {
 		order = graph.SortEdgesByWeightDesc(g)
-	} else {
-		order = make([]int32, g.M())
-		for i := range order {
-			order[i] = int32(i)
-		}
 	}
-	for _, e := range order {
+	for i := 0; i < g.M(); i++ {
+		e := int32(i)
+		if weighted {
+			e = order[i]
+		}
 		if m.CanAdd(e) {
 			if err := m.Add(e); err != nil {
 				panic(err) // CanAdd just returned true

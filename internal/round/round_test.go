@@ -39,7 +39,7 @@ func mustRound(t testing.TB, g *graph.Graph, b graph.Budgets, x []float64, p Par
 func TestSampleProducesValidBMatching(t *testing.T) {
 	p, x := tightSolution(t, 100, 800, 2, 1)
 	b := graph.UniformBudgets(100, 2)
-	m := Sample(p.G, b, x, 4, rng.New(2))
+	m := Sample(p.G, b, x, rng.New(2))
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +89,11 @@ func TestGreedyFillMaximality(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// The augment driver refills after every sweep, so the unweighted
+	// scan must not allocate.
+	if allocs := testing.AllocsPerRun(10, func() { GreedyFill(m, false) }); allocs != 0 {
+		t.Fatalf("GreedyFill(m, false) allocates %v times per call", allocs)
+	}
 }
 
 func TestGreedyFillWeightedPrefersHeavy(t *testing.T) {
@@ -122,7 +127,7 @@ func TestRoundValidityProperty(t *testing.T) {
 		b := graph.RandomBudgets(30, 1, 3, r.Split())
 		p := frac.BMatchingProblem(g, b)
 		x := mustSequential(t, p, 6, r.Split())
-		m := Sample(g, b, x, 4, r.Split())
+		m := Sample(g, b, x, r.Split())
 		return m.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

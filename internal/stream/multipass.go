@@ -25,10 +25,12 @@ type Params struct {
 	Eps         float64
 	RetriesPerK int // instances per walk length per sweep (default 4)
 	MaxRetries  int // adaptive escalation cap (default 32)
-	StallSweeps int // consecutive empty sweeps before stopping (default 2)
 	MaxSweeps   int // hard sweep cap (default 40)
-	HashK       int // independence of the edge hashes (default 2⌈1/ε⌉+2)
 }
+
+// stallSweeps is how many consecutive sweeps at MaxRetries that apply
+// nothing stop a driver.
+const stallSweeps = 2
 
 func (p Params) withDefaults() Params {
 	if p.Eps <= 0 {
@@ -43,14 +45,8 @@ func (p Params) withDefaults() Params {
 			p.MaxRetries = p.RetriesPerK
 		}
 	}
-	if p.StallSweeps <= 0 {
-		p.StallSweeps = 2
-	}
 	if p.MaxSweeps <= 0 {
 		p.MaxSweeps = 40
-	}
-	if p.HashK <= 0 {
-		p.HashK = 2*int(math.Ceil(1/p.Eps)) + 2
 	}
 	return p
 }
@@ -411,19 +407,20 @@ func run(ctx context.Context, s Stream, n int, b graph.Budgets, params Params, w
 	if weighted {
 		K = int(math.Ceil(1/params.Eps)) + 1
 	}
+	hashK := 2*int(math.Ceil(1/params.Eps)) + 2
 	stall := 0
 	retries := params.RetriesPerK
 	sweeps := 0
-	for sweep := 0; sweep < params.MaxSweeps && stall < params.StallSweeps; sweep++ {
+	for sweep := 0; sweep < params.MaxSweeps && stall < stallSweeps; sweep++ {
 		sweeps++
 		improved := 0
 		for k := 1; k <= K; k++ {
 			for try := 0; try < retries; try++ {
-				hOrient, err := hash.New(params.HashK, r.Split())
+				hOrient, err := hash.New(hashK, r.Split())
 				if err != nil {
 					return nil, err
 				}
-				hLayer, err := hash.New(params.HashK, r.Split())
+				hLayer, err := hash.New(hashK, r.Split())
 				if err != nil {
 					return nil, err
 				}

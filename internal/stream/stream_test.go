@@ -262,7 +262,7 @@ func TestStreamingDeterministic(t *testing.T) {
 func TestParamsWithDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
 	if p.Eps <= 0 || p.RetriesPerK <= 0 || p.MaxRetries < p.RetriesPerK ||
-		p.StallSweeps <= 0 || p.MaxSweeps <= 0 || p.HashK <= 0 {
+		p.MaxSweeps <= 0 {
 		t.Fatalf("defaults: %+v", p)
 	}
 }

@@ -9,7 +9,7 @@
 // on every maximum-weight matching up to ties: an alternating walk or
 // cycle of zero gain keeps it silent, because the driver would apply one
 // whose float gain rounds above zero. Where it does not fire, the stall
-// rule (StallRounds rounds at the full retry budget) stops the driver. The
+// rule (stallRounds rounds at the full retry budget) stops the driver. The
 // certificate fires only where no round could apply a walk, so it changes
 // Rounds, Instances and EstMPCRounds but never M.
 package weighted
@@ -27,11 +27,10 @@ import (
 
 // Params controls the weighted driver. Zero fields take defaults.
 type Params struct {
-	// Eps is the target slack; the layer count is K = ⌈1/ε⌉ + 1 unless K is
-	// set explicitly.
+	// Eps is the target slack. It fixes the driver's other constants:
+	// K = ⌈1/ε⌉ + 1 matched layers, Algorithm 6's weight-class grid base
+	// 1+ε (paper: 1+ε⁴) and its class separation 1/ε² (paper: 1/ε²⁰).
 	Eps float64
-	// K overrides the number of matched layers.
-	K int
 	// Batch is how many independent instances feed one conflict-resolution
 	// round (they may conflict with each other; Algorithms 5/6 arbitrate).
 	Batch int
@@ -40,24 +39,10 @@ type Params struct {
 	// joint-applicability greedy the practical default 1.0 is safe and
 	// faster. Set it below 1 to exercise the paper's regime.
 	KeepProb float64
-	// ClassBase is the weight-class grid base (paper: 1+ε⁴; practical
-	// default 1+ε).
-	ClassBase float64
-	// Spread is Algorithm 6's required separation between classes of one
-	// group (paper: 1/ε²⁰; practical default 1/ε²).
-	Spread float64
 	// Retries escalation, as in the unweighted driver.
 	Retries    int
 	MaxRetries int
-	// StallRounds: stop after this many consecutive rounds at MaxRetries
-	// that apply nothing (default 3). This is the fallback stopping rule: a
-	// round that applies nothing first runs the weight certificate
-	// (matching.CertifyMaxWeight), which stops the driver at once where it
-	// proves M of maximum weight — on a bipartite graph whenever M is
-	// optimal and no zero-gain alternating walk or cycle exists, and never
-	// on a matching that is not optimal.
-	StallRounds int
-	MaxRounds   int
+	MaxRounds  int
 	// Workers is the worker-pool width for the parallel candidate
 	// generation (instance building, growing, and within-resolution all
 	// read the matching without mutating it, so the per-(k, instance) jobs
@@ -67,6 +52,14 @@ type Params struct {
 	Workers int
 }
 
+// stallRounds is the fallback stopping rule: stop after this many
+// consecutive rounds at MaxRetries that apply nothing. A round that applies
+// nothing first runs the weight certificate (matching.CertifyMaxWeight),
+// which stops the driver at once where it proves M of maximum weight — on
+// a bipartite graph whenever M is optimal and no zero-gain alternating walk
+// or cycle exists, and never on a matching that is not optimal.
+const stallRounds = 3
+
 // DefaultParams returns practical defaults for slack eps.
 func DefaultParams(eps float64) Params { return Params{Eps: eps} }
 
@@ -74,20 +67,11 @@ func (p Params) withDefaults() Params {
 	if p.Eps <= 0 {
 		p.Eps = 0.25
 	}
-	if p.K <= 0 {
-		p.K = int(math.Ceil(1/p.Eps)) + 1
-	}
 	if p.Batch <= 0 {
 		p.Batch = 4
 	}
 	if p.KeepProb <= 0 {
 		p.KeepProb = 1
-	}
-	if p.ClassBase <= 1 {
-		p.ClassBase = 1 + p.Eps
-	}
-	if p.Spread <= 1 {
-		p.Spread = 1 / (p.Eps * p.Eps)
 	}
 	if p.Retries <= 0 {
 		p.Retries = 4
@@ -97,9 +81,6 @@ func (p Params) withDefaults() Params {
 		if p.MaxRetries < p.Retries {
 			p.MaxRetries = p.Retries
 		}
-	}
-	if p.StallRounds <= 0 {
-		p.StallRounds = 3
 	}
 	if p.MaxRounds <= 0 {
 		p.MaxRounds = 300
@@ -145,10 +126,12 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 	order := graph.SortEdgesByWeightDesc(g)
 	weightedFill(m, order)
 
+	K := int(math.Ceil(1/params.Eps)) + 1
+	classBase, spread := 1+params.Eps, 1/(params.Eps*params.Eps)
 	res := &Result{M: m, WeightStart: m.Weight()}
 	stall := 0
 	retries := params.Retries
-	for round := 0; round < params.MaxRounds && stall < params.StallRounds; round++ {
+	for round := 0; round < params.MaxRounds && stall < stallRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -165,7 +148,7 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 			out        []Candidate
 		}
 		var jobs []genJob
-		for k := 1; k <= params.K; k++ {
+		for k := 1; k <= K; k++ {
 			for i := 0; i < params.Batch*retries; i++ {
 				jobs = append(jobs, genJob{k: k, rB: r.Split(), rG: r.Split(), rR: r.Split()})
 			}
@@ -195,7 +178,7 @@ func OnePlusEpsWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets,
 			res.EstMPCRounds += jobs[j].k
 		}
 		res.EstMPCRounds += 2 // conflict resolution: O(1) rounds per batch
-		resolved := ResolveBetween(pool, m, params.ClassBase, params.Spread)
+		resolved := ResolveBetween(pool, m, classBase, spread)
 		applied, _ := ApplyAll(resolved, m)
 		weightedFill(m, order)
 		res.WalksApplied += applied

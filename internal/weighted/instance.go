@@ -6,8 +6,9 @@
 //
 // Where the underlying GKMS framework enumerates threshold profiles
 // (τᴬ, τᴮ) to guarantee per-walk gain, this implementation filters extracted
-// walks by their measured gain directly — see DESIGN.md ("Substitutions")
-// for why this preserves the invariant the profiles exist to enforce. All
+// walks by their measured gain directly: ResolveWithin keeps a walk only if
+// its best component raises w(M), the invariant the profiles exist to
+// enforce, checked exactly instead of guaranteed by construction. All
 // other structure follows the paper: matched edges live inside layers
 // between a T-side and an H-side copy, unmatched edges connect H_i to
 // T_{i+1} under a random orientation chosen once per edge, and walks are

@@ -21,7 +21,7 @@ import (
 // ResolveWithin implements Algorithm 5 for one layered graph's candidates:
 // each candidate survives an independent coin with probability keepProb
 // (the paper uses ε⁹/2 to bound intersection chains; the practical default
-// is higher — see Params), is reduced to its best-gain component
+// is higher — see Params.KeepProb), is reduced to its best-gain component
 // (Line 6, via Algorithm 4), and is then kept only if it remains jointly
 // applicable with the already-kept set. No coin is drawn when
 // keepProb ≥ 1.
@@ -64,8 +64,8 @@ func WeightClass(gain, base float64) int {
 // with the largest kept gain wins.
 //
 // t is chosen as the smallest integer with base^t ≥ spread, mirroring
-// Line 2 of Algorithm 6 (the paper's spread is 1/ε²⁰; see Params for the
-// practical value).
+// Line 2 of Algorithm 6 (the paper's spread is 1/ε²⁰; the driver passes
+// base 1+ε and spread 1/ε²).
 func ResolveBetween(cands []Candidate, m *matching.BMatching, base, spread float64) []Candidate {
 	if len(cands) == 0 {
 		return nil

@@ -400,8 +400,7 @@ func TestWeightedDriverFixesGreedyTrap(t *testing.T) {
 
 func TestParamsDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.Eps <= 0 || p.K < 2 || p.Batch <= 0 || p.KeepProb != 1 ||
-		p.ClassBase <= 1 || p.Spread <= 1 || p.MaxRounds <= 0 {
+	if p.Eps <= 0 || p.Batch <= 0 || p.KeepProb != 1 || p.MaxRounds <= 0 {
 		t.Fatalf("defaults: %+v", p)
 	}
 }

@@ -42,7 +42,7 @@ type Progress = engine.Progress
 // mapping 1:1 onto the engine's Spec so the facade, engine sessions, the
 // job registry, and the HTTP API all speak the same type. The zero value
 // is usable: maximum-weight solve, seed 0, ε = 0.25, practical constants,
-// serial drivers.
+// drivers at GOMAXPROCS width.
 type Request struct {
 	// Algo selects the solver; empty selects AlgoMaxWeight (the same
 	// default as the daemon's /v1/solve).
@@ -55,11 +55,14 @@ type Request struct {
 	Seed int64
 	// Workers bounds the drivers' internal parallelism (simulator
 	// delivery, rounding repeats, augmentation waves, candidate
-	// generation). 0 means serial; results are bit-identical across
+	// generation). 0 selects GOMAXPROCS; results are bit-identical across
 	// worker counts.
 	Workers int
 	// PaperConstants selects the paper's exact scalar constants instead
-	// of the practical defaults. See DESIGN.md.
+	// of the practical defaults. The paper's T = ⌊log₂N/1000⌋ locally
+	// simulated iterations per compression step is 0 for every N below
+	// 2^1000, so each step only initializes; the practical constants use
+	// T = max(1, ⌊log₂N/2⌋).
 	PaperConstants bool
 	// NoCache makes session solves bypass the result cache entirely
 	// (neither served from it nor stored into it). One-shot Solve calls
