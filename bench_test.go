@@ -22,6 +22,7 @@ import (
 	"repro/internal/graphio"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/round"
 	"repro/internal/stream"
 	"repro/internal/weighted"
 )
@@ -417,7 +418,7 @@ func BenchmarkGreedyBaselines(b *testing.B) {
 	bud := graph.RandomBudgets(5000, 1, 4, r.Split())
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			baseline.Greedy(g, bud)
+			round.GreedyFill(matching.MustNew(g, bud), false)
 		}
 	})
 	b.Run("greedy-weighted", func(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 // TestFigure1 reproduces Figure 1 of the paper: Decompress over
@@ -188,8 +189,9 @@ func TestLayeredGrowWalksAreValid(t *testing.T) {
 			}
 		}
 		for k := 1; k <= 3; k++ {
-			L := buildLayeredScratch(m, k, r.Split(), nil)
-			walks := L.growScratch(r.Split(), nil)
+			ar := new(scratch.Arena)
+			L := buildLayeredScratch(m, k, r.Split(), ar)
+			walks := L.growScratch(r.Split(), ar)
 			for _, w := range walks {
 				if l := len(w.EdgeIDs); l%2 == 0 || l > 2*k+1 {
 					t.Fatalf("walk length %d, want odd and ≤ %d", l, 2*k+1)

@@ -1,3 +1,12 @@
+// Package augment implements Section 4 of the paper: the (1+ε)
+// approximation of unweighted b-matchings via short augmenting walks. Its
+// pieces are random layered graphs with McGregor-style layer-by-layer path
+// growing and the Compress trick of Section 4.4 (layered.go), and the
+// (1+ε) driver of Lemma 4.6 (this file). The Decompress/Compress copy sets
+// of Definitions 4.2/4.3 and the H-construction of Section 4.2 prove that
+// short augmenting walks exist; no driver builds them, so they live in the
+// package's tests, as oracles.
+//
 // The (1+ε) unweighted driver: algorithm B of Lemma 4.6. Starting from a
 // Θ(1)-approximate (or greedy maximal) b-matching, it repeatedly draws
 // random layered graphs for every walk length up to O(1/ε) and applies the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 func TestLayeredKZeroFindsFreeFreeEdges(t *testing.T) {
@@ -18,8 +19,9 @@ func TestLayeredKZeroFindsFreeFreeEdges(t *testing.T) {
 	found := false
 	r := rng.New(1)
 	for try := 0; try < 50 && !found; try++ {
-		L := buildLayeredScratch(m, 0, r.Split(), nil)
-		walks := L.growScratch(r.Split(), nil)
+		ar := new(scratch.Arena)
+		L := buildLayeredScratch(m, 0, r.Split(), ar)
+		walks := L.growScratch(r.Split(), ar)
 		if len(walks) == 1 && len(walks[0].EdgeIDs) == 1 {
 			found = true
 		}
@@ -175,8 +177,9 @@ func TestGrowDoesNotReuseFreeSlots(t *testing.T) {
 	m := matching.MustNew(g, b)
 	r := rng.New(8)
 	for try := 0; try < 100; try++ {
-		L := buildLayeredScratch(m, 1, r.Split(), nil)
-		walks := L.growScratch(r.Split(), nil)
+		ar := new(scratch.Arena)
+		L := buildLayeredScratch(m, 1, r.Split(), ar)
+		walks := L.growScratch(r.Split(), ar)
 		if len(walks) > 1 {
 			t.Fatalf("star with hub budget 1 yielded %d walks", len(walks))
 		}

@@ -1,17 +1,52 @@
-// The H-construction of Section 4.2: viewing M △ M* as a union of two
-// 1-matchings on a decompressed copy set proves that a non-maximum
-// b-matching always admits a collection of independently applicable
-// augmenting walks. The structural tests use this to augment a greedy
-// matching all the way to a brute-force optimum, and the driver tests use
-// it as an oracle for "how much improvement is left".
+// Test oracles for Section 4.2. The copy sets of Definitions 4.2/4.3 and
+// the H-construction prove that a non-maximum b-matching always admits a
+// collection of independently applicable augmenting walks: viewing M △ M*
+// as a union of two 1-matchings on a decompressed copy set. No driver
+// builds H; the structural tests use it to augment a greedy matching all
+// the way to a brute-force optimum, and the driver tests use it as an
+// oracle for "how much improvement is left".
 package augment
 
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/scratch"
 )
+
+// Copy identifies the Idx-th copy of vertex V in Decompress(V, b);
+// 0 ≤ Idx < b_V.
+type Copy struct {
+	V   int32
+	Idx int32
+}
+
+// Decompress returns the copy set of Definition 4.2: b_v copies of each
+// vertex v, in vertex order.
+func Decompress(b graph.Budgets) []Copy {
+	out := make([]Copy, 0, b.Sum())
+	for v, bv := range b {
+		for i := 0; i < bv; i++ {
+			out = append(out, Copy{V: int32(v), Idx: int32(i)})
+		}
+	}
+	return out
+}
+
+// Compress returns the distinct vertices underlying a copy set
+// (Definition 4.3), in first-appearance order.
+func Compress(copies []Copy) []int32 {
+	seen := make(map[int32]bool, len(copies))
+	var out []int32
+	for _, c := range copies {
+		if !seen[c.V] {
+			seen[c.V] = true
+			out = append(out, c.V)
+		}
+	}
+	return out
+}
 
 // HEdge is an edge of H between two copies; FromM says whether it came from
 // M (versus M*).

@@ -51,41 +51,24 @@ type Layered struct {
 func lkey(layer int, v int32) int64 { return int64(layer)<<32 | int64(v) }
 
 // buildLayeredScratch draws a random layered graph for matching m with K
-// matched layers, taking the instance's flat arrays from ar (nil allocates
-// them normally). The instance — including the walks index maps, but not
-// the walks returned by growScratch, which are copied out — must not
-// outlive the borrow scope of ar. RNG consumption does not depend on ar.
+// matched layers, taking the instance's flat arrays from ar. The instance —
+// including the walks index maps, but not the walks returned by
+// growScratch, which are copied out — must not outlive the borrow scope of
+// ar. RNG consumption does not depend on ar.
 func buildLayeredScratch(m *matching.BMatching, K int, r *rng.RNG, ar *scratch.Arena) *Layered {
 	g := m.Graph()
-	var L *Layered
-	if ar != nil {
-		L = &Layered{
-			K:           K,
-			m:           m,
-			arcLayer:    ar.I32Raw(g.M()), // written for every matched edge before any read
-			arcTail:     ar.I32Raw(g.M()),
-			arcHead:     ar.I32Raw(g.M()),
-			arcUsed:     ar.Bool(g.M()),
-			arcsAt:      make(map[int64][]int32),
-			unmatchedAt: make(map[int64][]int32),
-			edgeUsed:    ar.Bool(g.M()),
-			f0:          ar.I32(g.N),
-			fk1:         ar.I32(g.N),
-		}
-	} else {
-		L = &Layered{
-			K:           K,
-			m:           m,
-			arcLayer:    make([]int32, g.M()),
-			arcTail:     make([]int32, g.M()),
-			arcHead:     make([]int32, g.M()),
-			arcUsed:     make([]bool, g.M()),
-			arcsAt:      make(map[int64][]int32),
-			unmatchedAt: make(map[int64][]int32),
-			edgeUsed:    make([]bool, g.M()),
-			f0:          make([]int32, g.N),
-			fk1:         make([]int32, g.N),
-		}
+	L := &Layered{
+		K:           K,
+		m:           m,
+		arcLayer:    ar.I32Raw(g.M()), // written for every matched edge before any read
+		arcTail:     ar.I32Raw(g.M()),
+		arcHead:     ar.I32Raw(g.M()),
+		arcUsed:     ar.Bool(g.M()),
+		arcsAt:      make(map[int64][]int32),
+		unmatchedAt: make(map[int64][]int32),
+		edgeUsed:    ar.Bool(g.M()),
+		f0:          ar.I32(g.N),
+		fk1:         ar.I32(g.N),
 	}
 	// Free copies to boundary layers (each free slot independently).
 	for v := 0; v < g.N; v++ {
@@ -137,9 +120,9 @@ type path struct {
 // vertex-copy- and edge-disjoint augmenting walks found (each with exactly
 // K matched edges, alternating walk length 2K+1). The returned walks can
 // all be applied to the matching the instance was built from. The
-// free-slot counters are borrowed from ar (nil allocates); the returned
-// walks are always safe to retain: their edge lists are built by ordinary
-// appends, never on the arena.
+// free-slot counters are borrowed from ar; the returned walks are always
+// safe to retain: their edge lists are built by ordinary appends, never on
+// the arena.
 func (L *Layered) growScratch(r *rng.RNG, ar *scratch.Arena) []matching.Walk {
 	g := L.m.Graph()
 
@@ -150,12 +133,7 @@ func (L *Layered) growScratch(r *rng.RNG, ar *scratch.Arena) []matching.Walk {
 			active = append(active, &path{start: int32(v), end: int32(v)})
 		}
 	}
-	var fk1Left []int32
-	if ar != nil {
-		fk1Left = ar.I32Raw(g.N)
-	} else {
-		fk1Left = make([]int32, g.N)
-	}
+	fk1Left := ar.I32Raw(g.N)
 	copy(fk1Left, L.fk1)
 
 	var done []*path

@@ -1,10 +1,9 @@
 // Package baseline implements the comparison algorithms the experiments
 // measure the paper's algorithms against:
 //
-//   - Greedy maximal b-matching (2-approximate for cardinality), the
-//     standard sequential baseline and the per-layer extension subroutine of
-//     Section 4.4's third step.
-//   - Weight-sorted greedy (2-approximate for weight).
+//   - Weight-sorted greedy (2-approximate for weight). The id-order greedy
+//     maximal b-matching (2-approximate for cardinality) is
+//     round.GreedyFill on an empty matching.
 //   - An uncompressed O(log d̄)-round doubling process — the KY09-flavoured
 //     baseline the introduction contrasts with: it is exactly the paper's
 //     idealized process run round-by-round in MPC with one communication
@@ -23,18 +22,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/rng"
 )
-
-// Greedy returns a maximal b-matching built by scanning edges in id order.
-// Maximality gives a 2-approximation for unweighted b-matching.
-func Greedy(g *graph.Graph, b graph.Budgets) *matching.BMatching {
-	m := matching.MustNew(g, b)
-	for e := 0; e < g.M(); e++ {
-		if m.CanAdd(int32(e)) {
-			mustAdd(m, int32(e))
-		}
-	}
-	return m
-}
 
 // greedyCancelStride is how many edges GreedyWeightedCtx scans between
 // cancellation checks: frequent enough that the scan phase aborts within
@@ -65,19 +52,6 @@ func GreedyWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets) (*m
 		}
 	}
 	return m, nil
-}
-
-// GreedyRandomOrder returns a maximal b-matching over a uniformly random
-// edge order. Used by tests as an independent 2-approximate reference.
-func GreedyRandomOrder(g *graph.Graph, b graph.Budgets, r *rng.RNG) *matching.BMatching {
-	order := r.Perm(g.M())
-	m := matching.MustNew(g, b)
-	for _, e := range order {
-		if m.CanAdd(int32(e)) {
-			mustAdd(m, int32(e))
-		}
-	}
-	return m
 }
 
 // UncompressedResult reports the uncompressed doubling baseline's outcome.

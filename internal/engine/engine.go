@@ -242,13 +242,6 @@ type Solved struct {
 	MaxMachineEdges  int
 }
 
-// SessionStats counts what a session did.
-type SessionStats struct {
-	Decodes    int64 `json:"decodes"`
-	Solves     int64 `json:"solves"`
-	ResultHits int64 `json:"resultHits"`
-}
-
 // Session is a long-lived solver session: it owns reusable decode/encode
 // buffers and consults the shared cache for instances and results, so
 // serving many requests does not re-pay per-request setup allocations. A
@@ -258,7 +251,6 @@ type Session struct {
 	cache *Cache
 	body  []byte // request-body scratch, grown once and reused
 	enc   []byte // canonical-encoding scratch, grown once and reused
-	stats SessionStats
 
 	// arena is the session's solver scratch arena, threaded into the
 	// drivers' round-local buffers so repeat solves through one session
@@ -288,9 +280,6 @@ func NewSession(cache *Cache) *Session {
 	}
 	return &Session{cache: cache}
 }
-
-// Stats returns the session's counters.
-func (s *Session) Stats() SessionStats { return s.stats }
 
 // ErrBodyTooLarge is returned by ReadInstance when the body exceeds the
 // caller's limit; HTTP maps it to 413.
@@ -361,7 +350,6 @@ func (s *Session) Instance(payload []byte) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.Decodes++
 	s.enc = graphio.AppendBinaryTo(s.enc[:0], g, b)
 	return s.internInstance(pk, sha256.Sum256(s.enc), g, b), nil
 }
@@ -381,7 +369,6 @@ func (s *Session) InstanceFromGraph(g *graph.Graph, b graph.Budgets) (*Instance,
 	sum := sha256.Sum256(s.enc)
 	inst, ok := s.cache.lookupPayload(string(sum[:]))
 	if !ok {
-		s.stats.Decodes++
 		inst = s.internInstance(string(sum[:]), sum, g, b)
 	}
 	s.lastG, s.lastB, s.lastInst = g, b, inst
@@ -428,7 +415,6 @@ func (s *Session) Solve(ctx context.Context, inst *Instance, spec Spec) (*Result
 	start := time.Now()
 	if !spec.NoCache {
 		if res, ok := s.cache.lookupResult(spec.resultKey(inst.Key)); ok {
-			s.stats.ResultHits++
 			hit := *res
 			hit.FromCache = true
 			// Report this request's latency, not the original solve's.
@@ -452,7 +438,6 @@ func (s *Session) Solve(ctx context.Context, inst *Instance, spec Spec) (*Result
 	if err != nil {
 		return nil, err
 	}
-	s.stats.Solves++
 	res := resultFromSolved(spec, sol)
 	res.Instance = inst.Key
 	res.N, res.M = inst.G.N, inst.G.M()
@@ -539,15 +524,13 @@ func solveScratch(ctx context.Context, g *graph.Graph, b graph.Budgets, spec Spe
 		sol.MPCRounds = out.Frac.TotalSimRounds
 		sol.MaxMachineEdges = out.Frac.MaxMachineEdges
 	case AlgoMax:
-		ap := augmentDefaults(spec.eps(), spec.Workers)
-		out, err := core.OnePlusEpsUnweightedCtx(ctx, g, b, spec.eps(), params, ap, rng.New(spec.Seed))
+		out, err := core.OnePlusEpsUnweightedCtx(ctx, g, b, spec.eps(), params, augment.Params{}, rng.New(spec.Seed))
 		if err != nil {
 			return nil, err
 		}
 		sol.M = out.M
 	case AlgoMaxWeight:
-		wp := weightedDefaults(spec.eps(), spec.Workers)
-		out, err := core.OnePlusEpsWeightedCtx(ctx, g, b, spec.eps(), wp, rng.New(spec.Seed))
+		out, err := core.OnePlusEpsWeightedCtx(ctx, g, b, spec.eps(), weighted.Params{Workers: spec.Workers}, rng.New(spec.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -598,16 +581,4 @@ func solveScratch(ctx context.Context, g *graph.Graph, b graph.Budgets, spec Spe
 		return nil, fmt.Errorf("engine: internal: %s solver produced an infeasible matching: %w", spec.Algo, err)
 	}
 	return sol, nil
-}
-
-func augmentDefaults(eps float64, workers int) augment.Params {
-	p := augment.DefaultParams(eps)
-	p.Workers = workers
-	return p
-}
-
-func weightedDefaults(eps float64, workers int) weighted.Params {
-	p := weighted.DefaultParams(eps)
-	p.Workers = workers
-	return p
 }

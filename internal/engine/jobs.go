@@ -22,8 +22,7 @@ var (
 	// terminal state or a cancel was already requested (409).
 	ErrJobFinished = errors.New("engine: job already finished or cancel already requested")
 	// ErrTooManyJobs is returned by Submit when MaxJobs jobs are resident
-	// (429): finished jobs count until they are deleted or their TTL
-	// expires, so clients that poll-and-delete recycle capacity fastest.
+	// (429): finished jobs count until their TTL expires.
 	ErrTooManyJobs = errors.New("engine: too many jobs")
 )
 
@@ -345,21 +344,6 @@ func (j *Jobs) Cancel(id string) error {
 	return nil
 }
 
-// Delete cancels the job if still active and removes it immediately,
-// freeing its MaxJobs slot without waiting for the TTL.
-func (j *Jobs) Delete(id string) error {
-	j.mu.Lock()
-	e, err := j.lookupLocked(id, time.Now())
-	if err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	delete(j.jobs, id)
-	j.mu.Unlock()
-	e.cancel()
-	return nil
-}
-
 // Do is the synchronous path over the same lifecycle: submit, wait for the
 // terminal state, remove the ephemeral job, return its result. /v1/solve
 // runs through it, so a sync solve and an async job with the same
@@ -376,7 +360,8 @@ func (j *Jobs) Do(ctx context.Context, inst *Instance, spec Spec) (*Result, erro
 	e := j.jobs[st.ID]
 	j.mu.Unlock()
 	if e == nil {
-		// Unreachable short of a concurrent Delete with a leaked id.
+		// Unreachable short of the job settling and outliving its TTL
+		// before this lookup: only expiry removes a job Do submitted.
 		return nil, ErrUnknownJob
 	}
 	defer func() {

@@ -182,10 +182,12 @@ func TestJobTTLEviction(t *testing.T) {
 }
 
 // TestJobMaxJobs pins the admission bound: with MaxJobs=1 and a slow job
-// resident, the second submit bounces with ErrTooManyJobs; deleting the
-// resident job frees the slot immediately.
+// resident, the second submit bounces with ErrTooManyJobs; once the
+// resident job has settled and outlived its TTL, the next submit evicts
+// it and takes the slot.
 func TestJobMaxJobs(t *testing.T) {
-	j, _, inst := newTestJobs(t, PoolConfig{Workers: 1}, JobsConfig{MaxJobs: 1})
+	const ttl = 200 * time.Millisecond
+	j, _, inst := newTestJobs(t, PoolConfig{Workers: 1}, JobsConfig{MaxJobs: 1, TTL: ttl})
 
 	slow := Spec{Algo: AlgoMaxWeight, Seed: 1, NoCache: true}
 	st, err := j.Submit(inst, slow)
@@ -195,12 +197,14 @@ func TestJobMaxJobs(t *testing.T) {
 	if _, err := j.Submit(inst, Spec{Algo: AlgoGreedy, Seed: 2}); !errors.Is(err, ErrTooManyJobs) {
 		t.Fatalf("over-limit submit: %v, want ErrTooManyJobs", err)
 	}
-	if err := j.Delete(st.ID); err != nil {
+	if err := j.Cancel(st.ID); err != nil && !errors.Is(err, ErrJobFinished) {
 		t.Fatal(err)
 	}
+	waitTerminal(t, j, st.ID)
+	time.Sleep(2 * ttl)
 	st2, err := j.Submit(inst, Spec{Algo: AlgoGreedy, Seed: 2})
 	if err != nil {
-		t.Fatalf("submit after delete: %v", err)
+		t.Fatalf("submit after expiry: %v", err)
 	}
 	if final := waitTerminal(t, j, st2.ID); final.State != JobDone {
 		t.Fatalf("replacement job ended %s (%s)", final.State, final.Error)

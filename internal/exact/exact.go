@@ -14,7 +14,6 @@ package exact
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -275,19 +274,4 @@ func (m *mcmf) maxProfitFlow(s, t int) float64 {
 		total += dist[t]
 	}
 	return total
-}
-
-// TopWeights returns the sum of the k largest edge weights; a cheap upper
-// bound used in sanity tests.
-func TopWeights(g *graph.Graph, k int) float64 {
-	ws := make([]float64, g.M())
-	for i, e := range g.Edges {
-		ws[i] = e.W
-	}
-	sort.Float64s(ws)
-	var s float64
-	for i := len(ws) - 1; i >= 0 && k > 0; i, k = i-1, k-1 {
-		s += ws[i]
-	}
-	return s
 }

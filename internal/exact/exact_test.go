@@ -115,15 +115,6 @@ func TestDinicLargeStarBudget(t *testing.T) {
 	}
 }
 
-func TestTopWeights(t *testing.T) {
-	g := graph.MustNew(3, []graph.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 5}, {U: 0, V: 2, W: 3},
-	})
-	if got := TopWeights(g, 2); got != 8 {
-		t.Fatalf("TopWeights(2) = %v, want 8", got)
-	}
-}
-
 // Property: brute-force size is monotone in budgets, and Dinic agrees on
 // bipartite graphs of moderate size (where brute force is infeasible,
 // monotonicity plus flow integrality give cross-checks).

@@ -11,50 +11,10 @@
 // an extension.
 package frac
 
-import "fmt"
-
 // Dual is a feasible solution of the dual LP.
 type Dual struct {
 	Y []float64 // per-vertex
 	Z []float64 // per-edge
-}
-
-// DualObjective returns Σ b_v·y_v + Σ r_e·z_e.
-func (p *Problem) DualObjective(d Dual) float64 {
-	var s float64
-	for v := 0; v < p.G.N; v++ {
-		s += p.B[v] * d.Y[v]
-	}
-	for e := range p.G.Edges {
-		s += p.R[e] * d.Z[e]
-	}
-	return s
-}
-
-// CheckDualFeasible verifies y_u + y_v + z_e ≥ 1 on every edge and
-// non-negativity.
-func (p *Problem) CheckDualFeasible(d Dual) error {
-	const tol = 1e-9
-	if len(d.Y) != p.G.N || len(d.Z) != p.G.M() {
-		return fmt.Errorf("frac: dual dimensions %d/%d, want %d/%d",
-			len(d.Y), len(d.Z), p.G.N, p.G.M())
-	}
-	for v, y := range d.Y {
-		if y < -tol {
-			return fmt.Errorf("frac: negative dual y[%d] = %v", v, y)
-		}
-	}
-	for e, z := range d.Z {
-		if z < -tol {
-			return fmt.Errorf("frac: negative dual z[%d] = %v", e, z)
-		}
-		ed := p.G.Edges[e]
-		if d.Y[ed.U]+d.Y[ed.V]+z < 1-tol {
-			return fmt.Errorf("frac: dual constraint violated at edge %d: %v + %v + %v < 1",
-				e, d.Y[ed.U], d.Y[ed.V], z)
-		}
-	}
-	return nil
 }
 
 // DualFromTight builds the Lemma 3.3 0/1 dual from an α-tight primal x:
@@ -97,27 +57,4 @@ func (p *Problem) VertexCover(x []float64, alpha float64) (vertices []int32, sla
 		}
 	}
 	return vertices, slackEdges
-}
-
-// MultiEdgeProblem returns the LP for the paper's footnote-1 variant where
-// an edge may be taken multiple times (the KY09 setting): edge capacities
-// are lifted to min(b_u, b_v), which is never binding beyond the vertex
-// constraints. The same algorithms (Sequential/OneRoundMPC/FullMPC) apply
-// unchanged since they accept arbitrary non-negative r.
-func MultiEdgeProblem(p *Problem) *Problem {
-	r := make([]float64, p.G.M())
-	for e := range p.G.Edges {
-		ed := p.G.Edges[e]
-		bu, bv := p.B[ed.U], p.B[ed.V]
-		if bu < bv {
-			r[e] = bu
-		} else {
-			r[e] = bv
-		}
-	}
-	q, err := NewProblem(p.G, p.B, r)
-	if err != nil {
-		panic(err) // capacities derived from a valid problem
-	}
-	return q
 }

@@ -1,13 +1,51 @@
 package frac
 
 import (
+	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
+
+// DualObjective returns Σ b_v·y_v + Σ r_e·z_e.
+func (p *Problem) DualObjective(d Dual) float64 {
+	var s float64
+	for v := 0; v < p.G.N; v++ {
+		s += p.B[v] * d.Y[v]
+	}
+	for e := range p.G.Edges {
+		s += p.R[e] * d.Z[e]
+	}
+	return s
+}
+
+// CheckDualFeasible verifies y_u + y_v + z_e ≥ 1 on every edge and
+// non-negativity.
+func (p *Problem) CheckDualFeasible(d Dual) error {
+	const tol = 1e-9
+	if len(d.Y) != p.G.N || len(d.Z) != p.G.M() {
+		return fmt.Errorf("frac: dual dimensions %d/%d, want %d/%d",
+			len(d.Y), len(d.Z), p.G.N, p.G.M())
+	}
+	for v, y := range d.Y {
+		if y < -tol {
+			return fmt.Errorf("frac: negative dual y[%d] = %v", v, y)
+		}
+	}
+	for e, z := range d.Z {
+		if z < -tol {
+			return fmt.Errorf("frac: negative dual z[%d] = %v", e, z)
+		}
+		ed := p.G.Edges[e]
+		if d.Y[ed.U]+d.Y[ed.V]+z < 1-tol {
+			return fmt.Errorf("frac: dual constraint violated at edge %d: %v + %v + %v < 1",
+				e, d.Y[ed.U], d.Y[ed.V], z)
+		}
+	}
+	return nil
+}
 
 func TestDualFromTightIsFeasible(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
@@ -80,48 +118,5 @@ func TestVertexCoverCoversAllEdges(t *testing.T) {
 	if p.DualObjective(d) > 3/alpha*Value(x)+1e-9 {
 		t.Fatalf("charging bound violated: dual %v > (3/α)·primal %v",
 			p.DualObjective(d), 3/alpha*Value(x))
-	}
-}
-
-func TestMultiEdgeProblemCapacities(t *testing.T) {
-	g := graph.Star(4)
-	b := graph.Budgets{3, 1, 2, 1}
-	p := BMatchingProblem(g, b)
-	q := MultiEdgeProblem(p)
-	for e := range g.Edges {
-		leaf := g.Edges[e].V
-		want := math.Min(3, float64(b[leaf]))
-		if q.R[e] != want {
-			t.Fatalf("edge %d capacity %v, want %v", e, q.R[e], want)
-		}
-	}
-	// The algorithms run unchanged on the lifted capacities.
-	x := sequential(t, q, TightRounds(q.G.M()), nil, rng.New(3))
-	if err := q.CheckFeasibleTol(x, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	if !q.IsTight(x, 0.2) {
-		t.Fatal("multi-edge variant not tight")
-	}
-}
-
-// Property: the multi-edge optimum dominates the single-edge optimum
-// (relaxing edge capacities can only increase the LP value).
-func TestMultiEdgeDominates(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rng.New(seed)
-		g := graph.Gnm(25, 80, r.Split())
-		b := graph.RandomBudgets(25, 1, 4, r.Split())
-		p := BMatchingProblem(g, b)
-		q := MultiEdgeProblem(p)
-		xp := sequential(t, p, TightRounds(g.M()), nil, r.Split())
-		// Same thresholds not needed; compare dual bounds instead, which
-		// certify the optima: OPT_single ≤ dual_single and the multi-edge
-		// LP's optimum is ≥ the single-edge optimum because its feasible
-		// region is a superset. Spot-check via feasibility of xp in q.
-		return q.CheckFeasibleTol(xp, 1e-9) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

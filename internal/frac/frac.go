@@ -103,11 +103,6 @@ func (w View[V]) VLoose(dst []bool, y []V, x []V, alpha float64, workers int) []
 	return dst
 }
 
-// IsTight reports whether x is α-tight: E_loose(x, α) = ∅.
-func (p *Problem) IsTight(x []float64, alpha float64) bool {
-	return len(NewView[float64](p).ELoose(x, alpha, 0)) == 0
-}
-
 // CheckFeasibleTol verifies 0 ≤ x_e ≤ r_e and Σ_{e∈E(v)} x_e ≤ b_v up to
 // the relative tolerance tol for floating-point accumulation. The f64
 // drivers use 1e-9; the float32 value mode needs a wider one (~1e-6):
@@ -154,15 +149,11 @@ func (p *Problem) DualBound(x []float64, alpha float64) float64 {
 	return bound
 }
 
-// InitialValuesUnclamped returns the ablated initialization
-// q_v = 0.8·b_v/deg(v) (no max(d̄, ·) clamp). Still a valid fractional
-// b-matching, but low-degree vertices get edge values large enough to wreck
-// the round-compression estimates (Section 1.4); experiment E10 quantifies
-// the difference.
-func (p *Problem) InitialValuesUnclamped() []float64 {
-	return NewView[float64](p).initialValuesUnclampedInto(make([]float64, p.G.M()), make([]float64, p.G.N))
-}
-
+// initialValuesUnclampedInto writes the ablated initialization
+// q_v = 0.8·b_v/deg(v) (no max(d̄, ·) clamp) into dst, using q (len n) as
+// per-vertex scratch. Still a valid fractional b-matching, but low-degree
+// vertices get edge values large enough to wreck the round-compression
+// estimates (Section 1.4); experiment E10 quantifies the difference.
 func (w View[V]) initialValuesUnclampedInto(dst []V, q []float64) []V {
 	p := w.p
 	for v := 0; v < p.G.N; v++ {

@@ -16,6 +16,11 @@ func gnmProblem(n, m, b int, seed int64) *Problem {
 	return BMatchingProblem(g, graph.UniformBudgets(n, b))
 }
 
+// IsTight reports whether x is α-tight: E_loose(x, α) = ∅.
+func (p *Problem) IsTight(x []float64, alpha float64) bool {
+	return len(NewView[float64](p).ELoose(x, alpha, 0)) == 0
+}
+
 // The helpers below drive the f64 entry points with a background context,
 // a pooled arena and the default pool width.
 

@@ -62,7 +62,7 @@ func TestInitialValuesUnclampedLarger(t *testing.T) {
 	// Without the clamp, low-degree vertices get values at least as large.
 	p := gnmProblem(100, 2000, 2, 402) // d̄ = 40
 	a := initialValues(p, p.G.AvgDeg())
-	b := p.InitialValuesUnclamped()
+	b := NewView[float64](p).initialValuesUnclampedInto(make([]float64, p.G.M()), make([]float64, p.G.N))
 	for e := range a {
 		if b[e] < a[e]-1e-12 {
 			t.Fatalf("edge %d: unclamped %v < clamped %v", e, b[e], a[e])

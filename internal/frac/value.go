@@ -71,9 +71,6 @@ func NewView[V Val](p *Problem) View[V] {
 	return View[V]{p: p, r: r}
 }
 
-// Problem returns the viewed instance.
-func (w View[V]) Problem() *Problem { return w.p }
-
 // viewScratch is NewView drawing the f32 capacity mirror from ar; the view
 // must not outlive ar's release scope.
 func viewScratch[V Val](p *Problem, ar *scratch.Arena) View[V] {

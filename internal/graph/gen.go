@@ -217,17 +217,6 @@ func Cycle(n int) *Graph {
 	return MustNew(n, edges)
 }
 
-// Complete returns the complete graph K_n.
-func Complete(n int) *Graph {
-	var edges []Edge
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			edges = append(edges, Edge{U: int32(u), V: int32(v), W: 1})
-		}
-	}
-	return MustNew(n, edges)
-}
-
 // CoreFringe returns a graph made of a dense random core on the first
 // nCore vertices (mCore edges) plus a sparse random fringe on the remaining
 // nFringe vertices (mFringe edges, no core-fringe edges).

@@ -243,17 +243,6 @@ func (g *Graph) AvgDeg() float64 {
 	return 2 * float64(len(g.Edges)) / float64(g.N)
 }
 
-// MaxDeg returns the maximum degree Δ.
-func (g *Graph) MaxDeg() int {
-	max := 0
-	for v := 0; v < g.N; v++ {
-		if d := g.Deg(int32(v)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // IsBipartite reports whether the graph is bipartite, and if so returns a
 // 2-coloring side[v] ∈ {0,1}. Used by the exact flow-based comparators.
 func (g *Graph) IsBipartite() (side []int8, ok bool) {
@@ -283,25 +272,6 @@ func (g *Graph) IsBipartite() (side []int8, ok bool) {
 		}
 	}
 	return side, true
-}
-
-// InducedEdgeCount returns the number of edges with both endpoints in the
-// vertex set marked by in. Used to measure per-machine load (Lemma 3.28).
-func (g *Graph) InducedEdgeCount(in []bool) int {
-	c := 0
-	for _, e := range g.Edges {
-		if in[e.U] && in[e.V] {
-			c++
-		}
-	}
-	return c
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	edges := make([]Edge, len(g.Edges))
-	copy(edges, g.Edges)
-	return MustNew(g.N, edges)
 }
 
 // Subgraph returns the graph restricted to the edge ids in keep (weights and
@@ -338,17 +308,6 @@ func (b Budgets) Sum() int {
 	return s
 }
 
-// Max returns the largest budget.
-func (b Budgets) Max() int {
-	m := 0
-	for _, x := range b {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Validate checks that budgets are non-negative and sized for g.
 func (b Budgets) Validate(g *Graph) error {
 	if len(b) != g.N {
@@ -368,22 +327,6 @@ func (b Budgets) Floats() []float64 {
 	out := make([]float64, len(b))
 	for i, x := range b {
 		out[i] = float64(x)
-	}
-	return out
-}
-
-// DegreeCappedBudgets returns min(bᵥ, deg(v)) for every v. A b-matching can
-// never use more than deg(v) edges at v, so capping is loss-free and keeps
-// Σbᵥ meaningful on sparse graphs.
-func DegreeCappedBudgets(g *Graph, b Budgets) Budgets {
-	out := make(Budgets, g.N)
-	for v := range out {
-		d := g.Deg(int32(v))
-		if b[v] < d {
-			out[v] = b[v]
-		} else {
-			out[v] = d
-		}
 	}
 	return out
 }

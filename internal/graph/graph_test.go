@@ -132,17 +132,10 @@ func TestClientServerBudgets(t *testing.T) {
 
 func TestBudgetsHelpers(t *testing.T) {
 	b := UniformBudgets(4, 3)
-	if b.Sum() != 12 || b.Max() != 3 {
-		t.Fatalf("Sum=%d Max=%d", b.Sum(), b.Max())
+	if b.Sum() != 12 {
+		t.Fatalf("Sum=%d", b.Sum())
 	}
 	g := Star(4)
-	capped := DegreeCappedBudgets(g, UniformBudgets(4, 2))
-	if capped[0] != 2 {
-		t.Fatalf("hub capped to %d, want 2", capped[0])
-	}
-	if capped[1] != 1 {
-		t.Fatalf("leaf capped to %d, want 1", capped[1])
-	}
 	bad := Budgets{1, -1, 0, 0}
 	if err := bad.Validate(g); err == nil {
 		t.Fatal("negative budget accepted")
@@ -170,14 +163,6 @@ func TestSubgraphMapping(t *testing.T) {
 	}
 }
 
-func TestInducedEdgeCount(t *testing.T) {
-	g := Complete(5)
-	in := []bool{true, true, true, false, false}
-	if got := g.InducedEdgeCount(in); got != 3 {
-		t.Fatalf("K5 induced on 3 vertices: %d edges, want 3", got)
-	}
-}
-
 func TestSortEdgesByWeightDesc(t *testing.T) {
 	g := GnmWeighted(30, 100, 0, 10, rng.New(7))
 	ids := SortEdgesByWeightDesc(g)
@@ -185,15 +170,6 @@ func TestSortEdgesByWeightDesc(t *testing.T) {
 		if g.Edges[ids[i-1]].W < g.Edges[ids[i]].W {
 			t.Fatal("not sorted descending")
 		}
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := Gnm(10, 20, rng.New(8))
-	c := g.Clone()
-	c.Edges[0].W = 99
-	if g.Edges[0].W == 99 {
-		t.Fatal("clone shares edge storage")
 	}
 }
 
@@ -289,4 +265,26 @@ func BenchmarkBuildAdj(b *testing.B) {
 			}
 		})
 	}
+}
+
+// MaxDeg returns the maximum degree Δ.
+func (g *Graph) MaxDeg() int {
+	max := 0
+	for v := 0; v < g.N; v++ {
+		if d := g.Deg(int32(v)); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// Complete returns the complete graph K_n.
+func Complete(n int) *Graph {
+	var edges []Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			edges = append(edges, Edge{U: int32(u), V: int32(v), W: 1})
+		}
+	}
+	return MustNew(n, edges)
 }

@@ -213,19 +213,6 @@ func readLimits(r io.Reader, lim Limits) (*graph.Graph, graph.Budgets, error) {
 	return g, b, nil
 }
 
-// WriteFile writes g and b to path.
-func WriteFile(path string, g *graph.Graph, b graph.Budgets) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := Write(f, g, b); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // ReadFile reads a graph and budgets from path, auto-detecting the text or
 // binary format from the leading bytes. BMG1 content is decoded through a
 // window of at most 1 MiB that slides over the file, so the file is never

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,7 +82,11 @@ func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "g.txt")
 	g := graph.Path(5)
 	b := graph.UniformBudgets(5, 2)
-	if err := WriteFile(path, g, b); err != nil {
+	var buf bytes.Buffer
+	if err := Write(&buf, g, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	g2, b2, err := ReadFile(path)

@@ -45,10 +45,6 @@ func New(k int, r *rng.RNG) (*KWise, error) {
 	return &KWise{coef: coef}, nil
 }
 
-// K returns the independence parameter of the family the function was drawn
-// from.
-func (h *KWise) K() int { return len(h.coef) }
-
 // Hash evaluates the polynomial at x by Horner's rule, mod 2^61-1.
 func (h *KWise) Hash(x uint64) uint64 {
 	x %= prime
@@ -57,12 +53,6 @@ func (h *KWise) Hash(x uint64) uint64 {
 		acc = addMod(mulMod(acc, x), h.coef[i])
 	}
 	return acc
-}
-
-// Float64 maps the hash of x to [0,1). Used for Bernoulli-style decisions
-// (orientations, layer assignments) with bounded independence.
-func (h *KWise) Float64(x uint64) float64 {
-	return float64(h.Hash(x)) / float64(prime)
 }
 
 // Intn maps the hash of x to [0,n). n must be positive. The bias from the

@@ -72,9 +72,6 @@ func TestHashDeterministic(t *testing.T) {
 			t.Fatalf("same seed, different hash at %d", x)
 		}
 	}
-	if h1.K() != 4 {
-		t.Fatalf("K() = %d, want 4", h1.K())
-	}
 }
 
 func TestHashUniformBits(t *testing.T) {
@@ -135,19 +132,6 @@ func TestPairwiseIndependenceSmoke(t *testing.T) {
 	}
 	if agree < trials*4/10 || agree > trials*6/10 {
 		t.Fatalf("pairwise agreement %d/%d far from 1/2", agree, trials)
-	}
-}
-
-func TestFloat64InUnitInterval(t *testing.T) {
-	h, err := New(3, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := uint64(0); x < 10000; x++ {
-		f := h.Float64(x)
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64(%d) = %v out of [0,1)", x, f)
-		}
 	}
 }
 

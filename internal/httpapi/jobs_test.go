@@ -203,7 +203,7 @@ func TestV2CancelLifecycle(t *testing.T) {
 	if _, code := postSolve(t, ts.Client(), ts.URL, payload, "algo=greedy&seed=2"); code != http.StatusOK {
 		t.Fatalf("follow-up solve after cancel: HTTP %d", code)
 	}
-	if s := srv.Jobs().Stats(); s.Canceled < 1 {
+	if s := srv.jobs.Stats(); s.Canceled < 1 {
 		t.Fatalf("cancel not counted: %+v", s)
 	}
 }

@@ -106,12 +106,6 @@ func NewServer(pool *engine.Pool, cfg Config) *Server {
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pool returns the wrapped worker pool (for stats and tests).
-func (s *Server) Pool() *engine.Pool { return s.pool }
-
-// Jobs returns the async job registry (for stats and tests).
-func (s *Server) Jobs() *engine.Jobs { return s.jobs }
-
 // SetDraining marks the server as shutting down: in-flight requests whose
 // contexts the owner is about to cancel will answer 503 + Retry-After
 // (retry against another replica) instead of 408 (client's fault). Call it

@@ -251,7 +251,7 @@ func TestTimeoutMs(t *testing.T) {
 	if code != http.StatusOK || !out.Feasible {
 		t.Fatalf("follow-up request after timeout: status %d, %+v", code, out)
 	}
-	st := srv.Pool().Stats()
+	st := srv.pool.Stats()
 	if st.SolveCanceled+st.Canceled < 1 {
 		t.Fatalf("timeout was not counted as a cancellation: %+v", st)
 	}

@@ -51,9 +51,6 @@ func TransportConeRoots() []string { return append([]string(nil), transportConeR
 // BannedTransportImports returns the imports banned from those cones.
 func BannedTransportImports() []string { return append([]string(nil), bannedTransportImports...) }
 
-// SolverCone returns the packages forming the deterministic solver cone.
-func SolverCone() []string { return append([]string(nil), solverCone...) }
-
 // InSolverCone reports whether path is a solver-cone package. Matching
 // is exact, not by prefix: repro/internal/mpc/mpctransport is a
 // transport backend outside the cone.

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"testing"
 )
 
 // This file is the suite's analysistest equivalent: fixture packages
@@ -40,7 +41,7 @@ var (
 // asPath and runs analyzer over it, comparing diagnostics against the
 // fixture's // want comments. Fixtures impersonate cone paths via
 // asPath, so cone-membership logic runs unchanged.
-func RunFixture(t testingT, analyzer *Analyzer, dir, asPath string) {
+func RunFixture(t *testing.T, analyzer *Analyzer, dir, asPath string) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		fixtureFset = token.NewFileSet()
@@ -155,12 +156,4 @@ func unescapeWant(s string) string {
 		b.WriteByte(s[i])
 	}
 	return b.String()
-}
-
-// testingT is the subset of *testing.T the harness uses; keeping it an
-// interface lets the harness's own tests exercise failure reporting.
-type testingT interface {
-	Helper()
-	Fatalf(format string, args ...any)
-	Errorf(format string, args ...any)
 }

@@ -111,7 +111,7 @@ func parseAnnotation(c *ast.Comment, fset *token.FileSet) (Annotation, bool) {
 		return Annotation{}, false
 	}
 	name, reason, _ := strings.Cut(text, " ")
-	// A trailing `// want "…"` is a fixture expectation (fixture.go),
+	// A trailing `// want "…"` is a fixture expectation (fixture_test.go),
 	// never part of the justification.
 	reason, _, _ = strings.Cut(reason, "// want")
 	return Annotation{

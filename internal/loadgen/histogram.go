@@ -68,14 +68,8 @@ func (h *Histogram) Record(d time.Duration) {
 	h.total++
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 { return h.total }
-
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() time.Duration { return h.max }
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() time.Duration { return h.min }
 
 // Quantile returns the q-quantile (q ∈ [0,1]) at the histogram's
 // resolution; exact recorded min/max anchor the ends. 0 when empty.
@@ -108,21 +102,4 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.max
-}
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.total == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.total += other.total
 }

@@ -114,29 +114,24 @@ func (w Walk) Apply(m *BMatching) error {
 	}
 	// Commit. Membership is snapshotted first: removals run before
 	// additions so budgets are never transiently exceeded, and previously
-	// matched edges must not be re-added after their removal.
+	// matched edges must not be re-added after their removal. The checks
+	// above leave Remove and Add nothing to reject.
 	wasMatched := make([]bool, len(w.EdgeIDs))
 	for i, e := range w.EdgeIDs {
 		wasMatched[i] = m.Contains(e)
 	}
 	for i, e := range w.EdgeIDs {
 		if wasMatched[i] {
-			ed := g.Edges[e]
-			m.in[e] = false
-			m.deg[ed.U]--
-			m.deg[ed.V]--
-			m.sz--
-			m.wt -= ed.W
+			if err := m.Remove(e); err != nil {
+				panic(err)
+			}
 		}
 	}
 	for i, e := range w.EdgeIDs {
 		if !wasMatched[i] {
-			ed := g.Edges[e]
-			m.in[e] = true
-			m.deg[ed.U]++
-			m.deg[ed.V]++
-			m.sz++
-			m.wt += ed.W
+			if err := m.Add(e); err != nil {
+				panic(err)
+			}
 		}
 	}
 	return nil

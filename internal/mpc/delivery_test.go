@@ -73,37 +73,23 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // stable.
 func TestSeqOrdersEqualKeys(t *testing.T) {
 	s := NewSimWithWorkers(2, 0)
-	s.Round(func(m *Machine) {
+	out := s.Exchange(func(m *Machine) {
 		if m.ID == 1 {
 			for j := 0; j < 10; j++ {
 				m.Send(0, 42, j, 1) // identical key every time
 			}
 		}
 	})
-	s.Round(func(m *Machine) {
-		if m.ID != 0 {
-			return
+	if len(out[0]) != 10 {
+		t.Errorf("got %d messages, want 10", len(out[0]))
+	}
+	for j, msg := range out[0] {
+		if msg.Seq != int64(j) {
+			t.Errorf("msg %d: Seq = %d, want %d", j, msg.Seq, j)
 		}
-		if len(m.Recv()) != 10 {
-			t.Errorf("got %d messages, want 10", len(m.Recv()))
+		if msg.Payload.(int) != j {
+			t.Errorf("msg %d: payload %v out of send order", j, msg.Payload)
 		}
-		for j, msg := range m.Recv() {
-			if msg.Seq != int64(j) {
-				t.Errorf("msg %d: Seq = %d, want %d", j, msg.Seq, j)
-			}
-			if msg.Payload.(int) != j {
-				t.Errorf("msg %d: payload %v out of send order", j, msg.Payload)
-			}
-		}
-	})
-}
-
-func TestChargeRoundsCountsRounds(t *testing.T) {
-	s := NewSimWithWorkers(2, 0)
-	s.Round(func(m *Machine) {})
-	s.ChargeRounds(3)
-	if got := s.Stats().Rounds; got != 4 {
-		t.Fatalf("rounds = %d, want 4 (1 simulated + 3 charged)", got)
 	}
 }
 
@@ -120,11 +106,11 @@ func TestExchangeConsumesInbox(t *testing.T) {
 			t.Fatalf("machine %d: %d messages, want 1", i, len(out[i]))
 		}
 	}
-	s.Round(func(m *Machine) {
-		if len(m.Recv()) != 0 {
-			t.Errorf("machine %d inbox not consumed by Exchange", m.ID)
+	for i, inbox := range s.Exchange(func(m *Machine) {}) {
+		if len(inbox) != 0 {
+			t.Errorf("machine %d inbox not consumed by Exchange", i)
 		}
-	})
+	}
 }
 
 // TestExchangeSlicesAreCallerOwned guards the buffer-reuse design: slices
@@ -210,13 +196,13 @@ func TestChargePanicsOnNegative(t *testing.T) {
 
 func TestNewSimWithWorkersAccessors(t *testing.T) {
 	s := NewSimWithWorkers(8, 3)
-	if s.Machines() != 8 || s.Workers() != 3 {
-		t.Fatalf("machines/workers = %d/%d, want 8/3", s.Machines(), s.Workers())
+	if s.Machines() != 8 || s.workers != 3 {
+		t.Fatalf("machines/workers = %d/%d, want 8/3", s.Machines(), s.workers)
 	}
-	if w := NewSimWithWorkers(2, 64).Workers(); w != 2 {
+	if w := NewSimWithWorkers(2, 64).workers; w != 2 {
 		t.Fatalf("workers not capped at machine count: %d", w)
 	}
-	if w := NewSimWithWorkers(4, 0).Workers(); w < 1 {
+	if w := NewSimWithWorkers(4, 0).workers; w < 1 {
 		t.Fatalf("default workers = %d", w)
 	}
 }

@@ -17,10 +17,9 @@
 // merged in sender-id order — bit-for-bit identical for every worker
 // count); internal/mpc/mpctransport provides a TCP backend that routes the
 // same rounds through external worker processes with identical results.
-// Inbox and outbox buffers are reused across rounds; consequently the
-// slice returned by Machine.Recv is only valid for the duration of the
-// round callback. Slices returned by Exchange are owned by the caller and
-// stay valid.
+// Inbox and outbox buffers are reused across rounds; only Exchange hands
+// delivered messages out, and the slices it returns are owned by the
+// caller and stay valid.
 //
 // Memory accounting is hardened: Machine.Release panics when a machine's
 // resident balance would go negative, and Machine.Charge panics on a
@@ -68,7 +67,7 @@ type Sim struct {
 	stats   Stats
 	ctx     context.Context // optional; checked at every superstep boundary
 	err     error           // first observed ctx or transport error; sticky
-	inbox   [][]Message     // messages delivered at the start of the current round
+	inbox   [][]Message     // messages the last superstep delivered
 
 	resident []int64 // per-machine resident words, maintained via Charge/Release
 
@@ -156,9 +155,6 @@ func (s *Sim) Err() error { return s.err }
 // Machines returns the number of machines.
 func (s *Sim) Machines() int { return s.n }
 
-// Workers returns the worker-pool width used for compute and delivery.
-func (s *Sim) Workers() int { return s.workers }
-
 // Stats returns the accumulated observables.
 func (s *Sim) Stats() Stats { return s.stats }
 
@@ -167,19 +163,11 @@ type Machine struct {
 	ID  int
 	sim *Sim
 
-	recv []Message // inbox for this round
-	sent []Message // outbox, delivered next round
+	sent []Message // outbox, delivered at the end of the round
 
 	sentWords int64
 	seq       int64
 }
-
-// Recv returns the messages delivered to this machine this round, in a
-// deterministic order (sorted by sender, then key, then send order). The
-// slice is owned by the simulator and valid only until the round callback
-// returns; copy it to retain messages across rounds (or use Exchange,
-// whose returned slices are caller-owned).
-func (m *Machine) Recv() []Message { return m.recv }
 
 // Send queues a message for delivery at the start of the next round.
 func (m *Machine) Send(to int, key int64, payload any, words int64) {
@@ -247,8 +235,7 @@ func (s *Sim) Round(fn func(m *Machine)) {
 		s.outView = make([][]Message, s.n)
 		s.sentWords = make([]int64, s.n)
 	}
-	for i, m := range s.machines {
-		m.recv = s.inbox[i]
+	for _, m := range s.machines {
 		m.sent = m.sent[:0]
 		m.sentWords = 0
 		m.seq = 0
@@ -316,10 +303,10 @@ func (s *Sim) emptyInbox() [][]Message {
 }
 
 // Exchange runs one superstep like Round and additionally returns the
-// delivered messages per machine, consuming them (the next round's inboxes
-// start empty). This lets multi-step primitives process a round's output
-// without paying an extra bookkeeping round. Ownership of the returned
-// slices transfers to the caller; the simulator never reuses them.
+// delivered messages per machine; Round only accounts them. This lets
+// multi-step primitives process a round's output without paying an extra
+// bookkeeping round. Ownership of the returned slices transfers to the
+// caller; the simulator never reuses them.
 func (s *Sim) Exchange(fn func(m *Machine)) [][]Message {
 	s.Round(fn)
 	if s.err != nil {
@@ -335,21 +322,4 @@ func (s *Sim) Exchange(fn func(m *Machine)) [][]Message {
 	// s.inbox.
 	s.inbox = make([][]Message, s.n)
 	return out
-}
-
-// ChargeRounds records k extra rounds spent in a primitive that is modeled
-// rather than simulated message-by-message (for example the GSZ11
-// constant-round sort when invoked on data already resident locally).
-func (s *Sim) ChargeRounds(k int) { s.stats.Rounds += k }
-
-// ResidentHighWater returns the current maximum resident words across
-// machines (excluding undelivered traffic).
-func (s *Sim) ResidentHighWater() int64 {
-	var max int64
-	for _, r := range s.resident {
-		if r > max {
-			max = r
-		}
-	}
-	return max
 }

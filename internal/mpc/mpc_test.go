@@ -8,29 +8,26 @@ import (
 func TestRoundDeliversMessages(t *testing.T) {
 	s := NewSimWithWorkers(4, 0)
 	// Every machine sends its id to machine 0.
-	s.Round(func(m *Machine) {
+	out := s.Exchange(func(m *Machine) {
 		m.Send(0, int64(m.ID), m.ID, 1)
 	})
+	for id, inbox := range out[1:] {
+		if len(inbox) != 0 {
+			t.Errorf("machine %d unexpectedly received messages", id+1)
+		}
+	}
 	var got []int
-	s.Round(func(m *Machine) {
-		if m.ID != 0 {
-			if len(m.Recv()) != 0 {
-				t.Errorf("machine %d unexpectedly received messages", m.ID)
-			}
-			return
-		}
-		for _, msg := range m.Recv() {
-			got = append(got, msg.Payload.(int))
-		}
-	})
+	for _, msg := range out[0] {
+		got = append(got, msg.Payload.(int))
+	}
 	if len(got) != 4 {
 		t.Fatalf("machine 0 received %d messages, want 4", len(got))
 	}
 	if !sort.IntsAreSorted(got) {
 		t.Fatalf("delivery order not deterministic by sender: %v", got)
 	}
-	if s.Stats().Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", s.Stats().Rounds)
+	if s.Stats().Rounds != 1 {
+		t.Fatalf("rounds = %d, want 1", s.Stats().Rounds)
 	}
 }
 
@@ -96,12 +93,12 @@ func TestExchangeReturnsAndConsumes(t *testing.T) {
 	if len(out[0]) != 1 || len(out[1]) != 1 {
 		t.Fatalf("exchange delivery wrong: %d/%d", len(out[0]), len(out[1]))
 	}
-	// Next round should see empty inboxes.
-	s.Round(func(m *Machine) {
-		if len(m.Recv()) != 0 {
-			t.Errorf("inbox not consumed")
+	// The next superstep must not deliver them again.
+	for i, inbox := range s.Exchange(func(m *Machine) {}) {
+		if len(inbox) != 0 {
+			t.Errorf("machine %d: inbox not consumed", i)
 		}
-	})
+	}
 }
 
 func TestSortInt64(t *testing.T) {
@@ -153,4 +150,16 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal("distributed sort nondeterministic")
 		}
 	}
+}
+
+// ResidentHighWater returns the current maximum resident words across
+// machines (excluding undelivered traffic).
+func (s *Sim) ResidentHighWater() int64 {
+	var max int64
+	for _, r := range s.resident {
+		if r > max {
+			max = r
+		}
+	}
+	return max
 }

@@ -38,15 +38,6 @@ func (g *RNG) Reserve() int64 {
 	return int64(g.r.Uint64())
 }
 
-// SplitN derives n child streams.
-func (g *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = g.Split()
-	}
-	return out
-}
-
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -55,9 +46,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64(
 
 // Intn returns a uniform integer in [0,n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a uniform non-negative int64.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Uint64 returns a uniform uint64.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }

@@ -26,22 +26,6 @@ func TestSplitIndependent(t *testing.T) {
 	}
 }
 
-func TestSplitN(t *testing.T) {
-	g := New(7)
-	kids := g.SplitN(5)
-	if len(kids) != 5 {
-		t.Fatalf("SplitN(5) returned %d streams", len(kids))
-	}
-	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
-		if seen[v] {
-			t.Fatal("duplicate child stream output")
-		}
-		seen[v] = true
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	g := New(3)
 	for i := 0; i < 1000; i++ {

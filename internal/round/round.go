@@ -39,16 +39,9 @@ type Params struct {
 // workers.
 func DefaultParams() Params { return Params{} }
 
-// Sample performs one trial of the Lemma 3.3 scheme and returns a valid
-// b-matching.
-func Sample(g *graph.Graph, b graph.Budgets, x []float64, r *rng.RNG) *matching.BMatching {
-	ar, done := scratch.Borrow(nil)
-	defer done()
-	return sampleScratch(g, b, x, r, ar)
-}
-
-// sampleScratch is Sample drawing its trial-local buffers (sample list,
-// endpoint counters) from ar; only the returned matching is allocated.
+// sampleScratch performs one trial of the Lemma 3.3 scheme and returns a
+// valid b-matching. Its trial-local buffers (sample list, endpoint
+// counters) come from ar; only the returned matching is allocated.
 func sampleScratch(g *graph.Graph, b graph.Budgets, x []float64, r *rng.RNG, ar *scratch.Arena) *matching.BMatching {
 	sampled := ar.I32Raw(len(x) / 2)[:0]
 	cnt := ar.I32(g.N)

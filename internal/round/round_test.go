@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 func tightSolution(t testing.TB, n, m, b int, seed int64) (*frac.Problem, []float64) {
@@ -39,7 +40,7 @@ func mustRound(t testing.TB, g *graph.Graph, b graph.Budgets, x []float64, p Par
 func TestSampleProducesValidBMatching(t *testing.T) {
 	p, x := tightSolution(t, 100, 800, 2, 1)
 	b := graph.UniformBudgets(100, 2)
-	m := Sample(p.G, b, x, rng.New(2))
+	m := sampleScratch(p.G, b, x, rng.New(2), new(scratch.Arena))
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRoundValidityProperty(t *testing.T) {
 		b := graph.RandomBudgets(30, 1, 3, r.Split())
 		p := frac.BMatchingProblem(g, b)
 		x := mustSequential(t, p, 6, r.Split())
-		m := Sample(g, b, x, r.Split())
+		m := sampleScratch(g, b, x, r.Split(), new(scratch.Arena))
 		return m.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

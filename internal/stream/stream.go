@@ -59,37 +59,6 @@ func (s *SliceStream) Next() (int32, graph.Edge, bool) {
 // Len implements Stream.
 func (s *SliceStream) Len() int { return len(s.g.Edges) }
 
-// PermutedStream streams edges in a fixed permuted order, for
-// order-robustness tests (streaming guarantees must not depend on arrival
-// order).
-type PermutedStream struct {
-	g    *graph.Graph
-	perm []int
-	pos  int
-}
-
-// NewPermutedStream returns a stream over g's edges in the order perm.
-func NewPermutedStream(g *graph.Graph, perm []int) *PermutedStream {
-	return &PermutedStream{g: g, perm: perm}
-}
-
-// Reset implements Stream.
-func (s *PermutedStream) Reset() { s.pos = 0 }
-
-// Next implements Stream.
-func (s *PermutedStream) Next() (int32, graph.Edge, bool) {
-	if s.pos >= len(s.perm) {
-		return 0, graph.Edge{}, false
-	}
-	id := int32(s.perm[s.pos])
-	e := s.g.Edges[id]
-	s.pos++
-	return id, e, true
-}
-
-// Len implements Stream.
-func (s *PermutedStream) Len() int { return len(s.perm) }
-
 // Meter tracks retained words and their peak.
 type Meter struct {
 	cur, peak int64
@@ -125,6 +94,3 @@ func (m *Meter) Release(w int64) {
 
 // Peak returns the high-water mark in words.
 func (m *Meter) Peak() int64 { return m.peak }
-
-// Current returns the currently retained words.
-func (m *Meter) Current() int64 { return m.cur }

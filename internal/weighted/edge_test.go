@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 func TestDriverZeroWeightEdges(t *testing.T) {
@@ -140,8 +141,9 @@ func TestInstanceKOne(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 20; trial++ {
-		in := buildInstanceScratch(m, 1, r.Split(), nil)
-		cands := in.growScratch(r.Split(), nil)
+		ar := new(scratch.Arena)
+		in := buildInstanceScratch(m, 1, r.Split(), ar)
+		cands := in.growScratch(r.Split(), ar)
 		mc := m.Clone()
 		for _, c := range cands {
 			if err := c.Walk.Apply(mc); err != nil {
@@ -163,8 +165,9 @@ func TestGainDecreasingNeverApplied(t *testing.T) {
 	_ = m.Add(2)
 	r := rng.New(6)
 	for trial := 0; trial < 50; trial++ {
-		in := buildInstanceScratch(m, 3, r.Split(), nil)
-		if cands := in.growScratch(r.Split(), nil); len(cands) != 0 {
+		ar := new(scratch.Arena)
+		in := buildInstanceScratch(m, 3, r.Split(), ar)
+		if cands := in.growScratch(r.Split(), ar); len(cands) != 0 {
 			t.Fatalf("positive-gain candidate on an optimal matching: %+v", cands[0])
 		}
 	}

@@ -66,44 +66,27 @@ type Instance struct {
 }
 
 // buildInstanceScratch draws a random weighted layered instance with k ≥ 1
-// matched layers, taking the instance's flat arrays from ar (nil allocates
-// them normally). The instance must not outlive the borrow scope of ar;
-// candidates extracted by growScratch are copied out and are always safe
-// to retain. RNG consumption does not depend on ar.
+// matched layers, taking the instance's flat arrays from ar. The instance
+// must not outlive the borrow scope of ar; candidates extracted by
+// growScratch are copied out and are always safe to retain. RNG
+// consumption does not depend on ar.
 func buildInstanceScratch(m *matching.BMatching, k int, r *rng.RNG, ar *scratch.Arena) *Instance {
 	if k < 1 {
 		k = 1
 	}
 	g := m.Graph()
-	var in *Instance
-	if ar != nil {
-		in = &Instance{
-			m:        m,
-			k:        k,
-			present:  ar.Bool(g.M()),
-			layer:    ar.I32Raw(g.M()), // read only where present is set
-			entryOf:  ar.I32Raw(g.M()),
-			exitOf:   ar.I32Raw(g.M()),
-			arcUsed:  ar.Bool(g.M()),
-			arcsAt:   make(map[int64][]int32),
-			edgeUsed: ar.Bool(g.M()),
-			freeH:    ar.I32(g.N),
-			freeT:    ar.I32(g.N),
-		}
-	} else {
-		in = &Instance{
-			m:        m,
-			k:        k,
-			present:  make([]bool, g.M()),
-			layer:    make([]int32, g.M()),
-			entryOf:  make([]int32, g.M()),
-			exitOf:   make([]int32, g.M()),
-			arcUsed:  make([]bool, g.M()),
-			arcsAt:   make(map[int64][]int32),
-			edgeUsed: make([]bool, g.M()),
-			freeH:    make([]int32, g.N),
-			freeT:    make([]int32, g.N),
-		}
+	in := &Instance{
+		m:        m,
+		k:        k,
+		present:  ar.Bool(g.M()),
+		layer:    ar.I32Raw(g.M()), // read only where present is set
+		entryOf:  ar.I32Raw(g.M()),
+		exitOf:   ar.I32Raw(g.M()),
+		arcUsed:  ar.Bool(g.M()),
+		arcsAt:   make(map[int64][]int32),
+		edgeUsed: ar.Bool(g.M()),
+		freeH:    ar.I32(g.N),
+		freeT:    ar.I32(g.N),
 	}
 
 	// Bipartition the copies: each matched copy and each free copy is
@@ -141,16 +124,10 @@ func buildInstanceScratch(m *matching.BMatching, k int, r *rng.RNG, ar *scratch.
 	}
 	// Step (III): one random orientation per unmatched edge; under it the
 	// edge connects copies of src in some H_i to copies of the target in
-	// T_{i+1}, never the reverse. Built as CSR by counting sort. counts
-	// becomes unmatchedStart, so it shares the instance's allocator.
-	var srcOf, counts []int32
-	if ar != nil {
-		srcOf = ar.I32Raw(g.M())
-		counts = ar.I32(g.N + 1)
-	} else {
-		srcOf = make([]int32, g.M())
-		counts = make([]int32, g.N+1)
-	}
+	// T_{i+1}, never the reverse. Built as CSR by counting sort; counts
+	// becomes unmatchedStart.
+	srcOf := ar.I32Raw(g.M())
+	counts := ar.I32(g.N + 1)
 	for e := 0; e < g.M(); e++ {
 		if m.Contains(int32(e)) {
 			srcOf[e] = -1
@@ -168,14 +145,8 @@ func buildInstanceScratch(m *matching.BMatching, k int, r *rng.RNG, ar *scratch.
 		counts[v+1] += counts[v]
 	}
 	in.unmatchedStart = counts
-	var fill []int32
-	if ar != nil {
-		in.unmatchedEdges = ar.I32Raw(int(counts[g.N]))
-		fill = ar.I32(g.N)
-	} else {
-		in.unmatchedEdges = make([]int32, counts[g.N])
-		fill = make([]int32, g.N)
-	}
+	in.unmatchedEdges = ar.I32Raw(int(counts[g.N]))
+	fill := ar.I32(g.N)
 	for e := 0; e < g.M(); e++ {
 		if srcOf[e] < 0 {
 			continue
@@ -217,9 +188,9 @@ type pathState struct {
 // Alg-Alternating, Lemma 5.5: each step extends all paths in parallel by
 // one unmatched and one matched edge) and returns gain-positive candidates.
 // All returned candidates are mutually edge- and copy-disjoint. The
-// free-slot counters are borrowed from ar (nil allocates); returned
-// candidates hold freshly copied walks and are always safe to retain past
-// the borrow scope.
+// free-slot counters are borrowed from ar; returned candidates hold
+// freshly copied walks and are always safe to retain past the borrow
+// scope.
 func (in *Instance) growScratch(r *rng.RNG, ar *scratch.Arena) []Candidate {
 	g := in.m.Graph()
 
@@ -250,12 +221,7 @@ func (in *Instance) growScratch(r *rng.RNG, ar *scratch.Arena) []Candidate {
 			})
 		}
 	}
-	var freeTLeft []int32
-	if ar != nil {
-		freeTLeft = ar.I32Raw(g.N)
-	} else {
-		freeTLeft = make([]int32, g.N)
-	}
+	freeTLeft := ar.I32Raw(g.N)
 	copy(freeTLeft, in.freeT)
 
 	var finished []*pathState

@@ -6,6 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 func TestResolveWithinMPCRespectsEdgeConflicts(t *testing.T) {
@@ -67,8 +68,9 @@ func TestResolveWithinMPCSurvivorsJointlyApplicable(t *testing.T) {
 		// Candidates from several independent instances (so they conflict).
 		var cands []Candidate
 		for i := 0; i < 4; i++ {
-			inst := buildInstanceScratch(m, 3, r.Split(), nil)
-			cands = append(cands, inst.growScratch(r.Split(), nil)...)
+			ar := new(scratch.Arena)
+			inst := buildInstanceScratch(m, 3, r.Split(), ar)
+			cands = append(cands, inst.growScratch(r.Split(), ar)...)
 		}
 		kept, _ := ResolveWithinMPC(cands, m, 4, 0)
 		mc := m.Clone()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 // --- Figures 2 and 3 of the paper -----------------------------------------
@@ -52,7 +53,8 @@ func TestFigures2And3(t *testing.T) {
 	_, _, m := figureGraph(t)
 	r := rng.New(11)
 	for trial := 0; trial < 50; trial++ {
-		in := buildInstanceScratch(m, 3, r.Split(), nil)
+		ar := new(scratch.Arena)
+		in := buildInstanceScratch(m, 3, r.Split(), ar)
 		g := m.Graph()
 		for e := 0; e < g.M(); e++ {
 			if m.Contains(int32(e)) {
@@ -220,8 +222,9 @@ func TestGrowCandidatesValidAndDisjoint(t *testing.T) {
 				_ = m.Add(int32(e))
 			}
 		}
-		in := buildInstanceScratch(m, 4, r.Split(), nil)
-		cands := in.growScratch(r.Split(), nil)
+		ar := new(scratch.Arena)
+		in := buildInstanceScratch(m, 4, r.Split(), ar)
+		cands := in.growScratch(r.Split(), ar)
 		mc := m.Clone()
 		for _, c := range cands {
 			if c.Gain <= 0 {
