@@ -7,7 +7,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/solve?algo=approx|max|maxw|greedy|frac&eps=&seed=&paper=&nocache=&workers=&timeout_ms=
+//	POST /v1/solve?algo=approx|max|maxw|greedy|frac&eps=&seed=&paper=&nocache=&workers=&values=&timeout_ms=
 //	     body: instance in graphio text or binary format (auto-detected)
 //	POST   /v2/jobs?algo=...   async submit → 202 + job id (same params as /v1/solve, minus timeout_ms)
 //	GET    /v2/jobs/{id}       status with live round/superstep progress
@@ -23,9 +23,9 @@
 //	    curl -sS --data-binary @- 'localhost:8377/v1/solve?algo=maxw&seed=1'
 //
 // Long solves fit the async path: POST the same instance to /v2/jobs,
-// poll the status URL, fetch the result when state is "done". /v1/solve
-// itself is a submit+wait over the same job lifecycle, so both paths
-// return bit-identical results for the same (instance, parameters).
+// poll the status URL, fetch the result when state is "done". A job is the
+// same worker-pool submission as a /v1/solve, so both paths return
+// bit-identical results for the same (instance, parameters).
 //
 // On SIGINT or SIGTERM the daemon shuts down gracefully: it stops
 // accepting connections, cancels the contexts of all in-flight solves (the
@@ -75,7 +75,6 @@ var (
 	maxWorkersF   = flag.Int("max-solve-workers", 0, "max per-request workers= parallelism a client may request (0 = default of 64)")
 	pprofFlag     = flag.String("pprof", "", "optional address for the net/http/pprof debug listener (e.g. 127.0.0.1:6060); empty disables it")
 	mpcWorkerFlag = flag.Bool("mpc-worker", false, "run as an MPC transport worker instead of the HTTP daemon: serve the superstep delivery protocol on -addr until SIGINT/SIGTERM")
-	valuesFlag    = flag.String("values", "", "default solver value precision for requests without values= (f64 or f32; f32 applies to algo=frac only)")
 	mpcPeersFlag  = flag.String("mpc-workers", "", "comma-separated addresses of bmatchd -mpc-worker processes; when set, the fractional compression supersteps (the approx/frac simulator core) are delivered through them — auxiliary MPC-modeled phases of max/maxw stay in-process (results stay bit-identical to in-process delivery)")
 )
 
@@ -103,7 +102,7 @@ func servePprof(addr string) {
 
 // mpcDialer resolves the -mpc-workers flag to a delivery backend: nil
 // (in-process) when unset, otherwise a dialer over the listed worker
-// processes. The pool installs it as the default for every solve.
+// processes. The pool hands it to every solve.
 func mpcDialer(list string) mpc.TransportFactory {
 	if list == "" {
 		return nil
@@ -182,12 +181,11 @@ func main() {
 		maxTimeout = time.Duration(math.MaxInt64)
 	}
 	api := httpapi.NewServer(pool, httpapi.Config{
-		MaxBodyBytes:     *maxBodyFlag,
-		MaxTimeout:       maxTimeout,
-		MaxWorkers:       *maxWorkersF,
-		MaxJobs:          *maxJobsFlag,
-		JobTTL:           *jobTTLFlag,
-		DefaultValueMode: *valuesFlag,
+		MaxBodyBytes: *maxBodyFlag,
+		MaxTimeout:   maxTimeout,
+		MaxWorkers:   *maxWorkersF,
+		MaxJobs:      *maxJobsFlag,
+		JobTTL:       *jobTTLFlag,
 	})
 
 	// Every request context descends from solveCtx, so cancelling it on

@@ -8,8 +8,8 @@
 // cmd/bmatchd are both built on it.
 //
 // Layering rule: engine must stay transport-free — it must never import
-// net/http (enforced by TestTransportFree and by CI's import-hygiene
-// check). The HTTP surface lives in internal/httpapi, which maps engine
+// net/http (enforced by TestTransportFree and by bmatchvet's importhygiene
+// analyzer). The HTTP surface lives in internal/httpapi, which maps engine
 // errors to status codes; library-only consumers link engine without
 // pulling in any transport.
 //
@@ -95,18 +95,6 @@ type Spec struct {
 	// result-cache key — an f32 solve never serves from or stores into an
 	// f64 cache entry. See README "Value modes" for the error budget.
 	ValueMode string
-	// MPCTransport selects the MPC simulator's delivery backend for the
-	// fractional compression supersteps — the simulator core of approx and
-	// frac, and of max's Θ(1) start. Nil is the in-process pipeline; a
-	// non-nil factory (e.g. a *mpctransport.Dialer configured by the
-	// daemon's -mpc-workers flag) ships those supersteps to external worker
-	// processes. The augmentation phases of max and maxw run on no
-	// simulator at all: their MPC round counts are EstMPCRounds estimates.
-	// Implementations must be comparable — use a pointer — because the
-	// pool coalesces identical Specs by equality. Backends are
-	// bit-identical by contract, so like Workers this is not part of the
-	// result-cache key.
-	MPCTransport mpc.TransportFactory
 }
 
 // DefaultEps is the approximation slack used when Eps is left zero.
@@ -259,9 +247,12 @@ type Session struct {
 	// itself, it is single-goroutine.
 	arena *scratch.Arena
 
-	// Limits bounds what Instance/ReadInstance will decode. The zero value
+	// limits bounds what Instance/ReadInstance will decode. The zero value
 	// is unlimited (fine in-process); the Pool sets it for network input.
-	Limits graphio.Limits
+	limits graphio.Limits
+	// transport is the MPC delivery backend of every solve; nil is the
+	// in-process pipeline. The Pool sets it from PoolConfig.MPCTransport.
+	transport mpc.TransportFactory
 
 	// Identity memo for InstanceFromGraph: repeat solves of the same
 	// in-memory graph (the facade Session's main workload) skip the O(m)
@@ -346,7 +337,7 @@ func (s *Session) Instance(payload []byte) (*Instance, error) {
 	if inst, ok := s.cache.lookupPayload(pk); ok {
 		return inst, nil
 	}
-	g, b, err := graphio.DecodeAnyLimits(payload, s.Limits)
+	g, b, err := graphio.DecodeAnyLimits(payload, s.limits)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +419,7 @@ func (s *Session) Solve(ctx context.Context, inst *Instance, spec Spec) (*Result
 	if s.arena == nil {
 		s.arena = new(scratch.Arena)
 	}
-	sol, err := solveScratch(ctx, inst.G, inst.B, spec, s.arena)
+	sol, err := solveScratch(ctx, inst.G, inst.B, spec, s.arena, s.transport)
 	if s.arena.Oversized() {
 		// Same retention policy as shrinkScratch and scratch.Put: one
 		// giant solve must not pin its peak slab footprint in this worker
@@ -485,16 +476,17 @@ func resultFromSolved(spec Spec, sol *Solved) *Result {
 // guarantee hold by construction. ctx follows the package cancellation
 // contract; wrap it with WithProgress to observe checkpoints.
 func Solve(ctx context.Context, g *graph.Graph, b graph.Budgets, spec Spec) (*Solved, error) {
-	return solveScratch(ctx, g, b, spec, nil)
+	return solveScratch(ctx, g, b, spec, nil, nil)
 }
 
-// solveScratch is Solve with an optional caller-owned scratch arena (a
-// Session passes its own so round-local solver buffers are reused across
-// solves; nil lets the drivers borrow pooled arenas). The arena never
-// changes results — a cancelled or failed solve releases its borrows via
-// the drivers' deferred checkpoints, leaving the arena clean for the next
-// solve.
-func solveScratch(ctx context.Context, g *graph.Graph, b graph.Budgets, spec Spec, ar *scratch.Arena) (*Solved, error) {
+// solveScratch is Solve with an optional caller-owned scratch arena and
+// MPC transport (a Session passes its own arena so round-local solver
+// buffers are reused across solves, and its pool's transport; nil lets the
+// drivers borrow pooled arenas and deliver in-process). Neither changes
+// results — a cancelled or failed solve releases its borrows via the
+// drivers' deferred checkpoints, leaving the arena clean for the next
+// solve, and transports are bit-identical by contract.
+func solveScratch(ctx context.Context, g *graph.Graph, b graph.Budgets, spec Spec, ar *scratch.Arena, tp mpc.TransportFactory) (*Solved, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -507,7 +499,7 @@ func solveScratch(ctx context.Context, g *graph.Graph, b graph.Budgets, spec Spe
 	}
 	params.Workers = spec.Workers
 	params.Scratch = ar
-	params.Transport = spec.MPCTransport
+	params.Transport = tp
 	params.Values = spec.values() // Validate restricts f32 to AlgoFrac
 
 	sol := &Solved{}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graphio"
+	"repro/internal/mpc"
 	"repro/internal/rng"
 )
 
@@ -110,6 +111,63 @@ func TestPoolBatching(t *testing.T) {
 	}
 	if st.MaxBatch < 2 {
 		t.Logf("note: max batch %d (timing-dependent; coalescing not observed this run)", st.MaxBatch)
+	}
+}
+
+// sliceFactory is a TransportFactory whose type cannot be compared with ==,
+// because it holds a slice. Neither greedy nor maxw runs the MPC simulator,
+// so it is never asked for a transport.
+type sliceFactory struct{ addrs []string }
+
+func (f sliceFactory) NewTransport(n, workers int) (mpc.Transport, error) {
+	return nil, fmt.Errorf("sliceFactory: no transport to %v", f.addrs)
+}
+
+// TestPoolCoalescesWithAnyTransport: the pool's transport is a daemon
+// setting of any type, so coalescing two identical queued requests must
+// not compare it. A slow solve holds the only worker while two identical
+// requests queue behind it; both must succeed.
+func TestPoolCoalescesWithAnyTransport(t *testing.T) {
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 4, BatchMax: 4,
+		MPCTransport: sliceFactory{addrs: []string{"127.0.0.1:1"}}})
+	defer p.Close()
+	_, _, payload := testInstancePayload(t)
+	inst, err := p.Decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats := func(what string, ok func(PoolStats) bool) {
+		t.Helper()
+		for i := 0; !ok(p.Stats()); i++ {
+			if i > 5000 {
+				t.Fatalf("never saw %s: %+v", what, p.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	slowCtx, cancelSlow := context.WithCancel(context.Background())
+	defer cancelSlow()
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := p.Submit(slowCtx, inst, Spec{Algo: AlgoMaxWeight, Seed: 1, NoCache: true})
+		slowDone <- err
+	}()
+	waitStats("the slow solve on the worker", func(st PoolStats) bool { return st.Submitted == 1 && st.QueueLen == 0 })
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := p.Submit(context.Background(), inst, Spec{Algo: AlgoGreedy, Seed: 1})
+			errs <- err
+		}()
+	}
+	waitStats("two queued requests", func(st PoolStats) bool { return st.QueueLen == 2 })
+	cancelSlow()
+	<-slowDone
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued request %d: %v", i, err)
+		}
 	}
 }
 

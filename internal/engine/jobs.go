@@ -89,13 +89,9 @@ type JobsStats struct {
 	Submitted int64 `json:"submitted"`
 	Active    int   `json:"active"` // resident: queued + running + retained
 	Done      int64 `json:"done"`
-	// Failed counts solver failures; admission bounces (queue-full /
-	// closed, sync path only) land in Rejected instead, so operators can
-	// tell backpressure from broken solves.
-	Failed   int64 `json:"failed"`
-	Rejected int64 `json:"rejected"`
-	Canceled int64 `json:"canceled"`
-	Expired  int64 `json:"expired"`
+	Failed    int64 `json:"failed"` // solver errors
+	Canceled  int64 `json:"canceled"`
+	Expired   int64 `json:"expired"`
 }
 
 type jobEntry struct {
@@ -105,7 +101,6 @@ type jobEntry struct {
 	created time.Time
 	cancel  context.CancelFunc
 	prog    *progressCtx
-	done    chan struct{} // closed when the job reaches a terminal state
 
 	// Guarded by Jobs.mu.
 	state           JobState
@@ -119,13 +114,13 @@ type jobEntry struct {
 // returns a job id immediately, status samples round/superstep progress
 // from the running solve's checkpoint counter, results are retained for a
 // TTL after completion, and cancel aborts the solve at its next checkpoint.
-// httpapi's /v2/jobs endpoints are a thin wrapper over it, and /v1/solve is
-// a submit+wait (Do) over the same lifecycle, so the sync and async paths
-// cannot drift apart. Safe for concurrent use.
+// httpapi's /v2/jobs endpoints are a thin wrapper over it. A job is one
+// Pool.SubmitWait, the same pool path as a synchronous Pool.Submit, so the
+// two return bit-identical results. Safe for concurrent use.
 //
 // Like the rest of the engine, the registry must stay transport-free (no
-// net/http in its dependency cone); TestTransportFree and CI's
-// import-hygiene step enforce that.
+// net/http in its dependency cone); TestTransportFree and bmatchvet's
+// importhygiene analyzer enforce that.
 type Jobs struct {
 	cfg  JobsConfig
 	pool *Pool
@@ -140,7 +135,7 @@ type Jobs struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	submitted, doneN, failed, rejected, canceled, expired int64
+	submitted, doneN, failed, canceled, expired int64
 }
 
 // NewJobs returns a registry running jobs on pool. Close the registry
@@ -172,10 +167,6 @@ func newJobID() (string, error) {
 // decoded — admission (body limits, decode slots) stays at the transport
 // boundary.
 func (j *Jobs) Submit(inst *Instance, spec Spec) (JobStatus, error) {
-	return j.submit(j.root, inst, spec, true)
-}
-
-func (j *Jobs) submit(parent context.Context, inst *Instance, spec Spec, block bool) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
@@ -184,7 +175,7 @@ func (j *Jobs) submit(parent context.Context, inst *Instance, spec Spec, block b
 		return JobStatus{}, err
 	}
 	now := time.Now()
-	ctx, cancel := context.WithCancel(parent)
+	ctx, cancel := context.WithCancel(j.root)
 	e := &jobEntry{
 		id:      id,
 		algo:    spec.Algo,
@@ -192,7 +183,6 @@ func (j *Jobs) submit(parent context.Context, inst *Instance, spec Spec, block b
 		created: now,
 		cancel:  cancel,
 		prog:    newProgressCtx(ctx),
-		done:    make(chan struct{}),
 		state:   JobQueued,
 	}
 	j.mu.Lock()
@@ -212,23 +202,17 @@ func (j *Jobs) submit(parent context.Context, inst *Instance, spec Spec, block b
 	j.wg.Add(1)
 	st := j.statusLocked(e)
 	j.mu.Unlock()
-	go j.run(e, inst, spec, block)
+	go j.run(e, inst, spec)
 	return st, nil
 }
 
 // run executes one job on the pool and settles its terminal state.
-func (j *Jobs) run(e *jobEntry, inst *Instance, spec Spec, block bool) {
+func (j *Jobs) run(e *jobEntry, inst *Instance, spec Spec) {
 	defer j.wg.Done()
 	j.mu.Lock()
 	e.state = JobRunning
 	j.mu.Unlock()
-	var res *Result
-	var err error
-	if block {
-		res, err = j.pool.SubmitWait(e.prog, inst, spec)
-	} else {
-		res, err = j.pool.Submit(e.prog, inst, spec)
-	}
+	res, err := j.pool.SubmitWait(e.prog, inst, spec)
 	j.mu.Lock()
 	e.res, e.err = res, err
 	switch {
@@ -238,18 +222,11 @@ func (j *Jobs) run(e *jobEntry, inst *Instance, spec Spec, block bool) {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		e.state = JobCanceled
 		j.canceled++
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
-		// An admission bounce (only the non-blocking Do path can see
-		// these), not a solver failure: count it apart so a burst of
-		// 429'd sync requests does not read as hundreds of failed solves.
-		e.state = JobFailed
-		j.rejected++
 	default:
 		e.state = JobFailed
 		j.failed++
 	}
 	e.expires = time.Now().Add(j.cfg.TTL)
-	close(e.done)
 	j.mu.Unlock()
 	e.cancel() // the job is settled; release the context immediately
 }
@@ -344,47 +321,6 @@ func (j *Jobs) Cancel(id string) error {
 	return nil
 }
 
-// Do is the synchronous path over the same lifecycle: submit, wait for the
-// terminal state, remove the ephemeral job, return its result. /v1/solve
-// runs through it, so a sync solve and an async job with the same
-// (instance, Spec) are the same pool submission and return bit-identical
-// results. The pool's fast-fail admission is preserved (ErrQueueFull when
-// the queue is at capacity); ctx cancellation or deadline aborts the solve
-// and returns ctx's error.
-func (j *Jobs) Do(ctx context.Context, inst *Instance, spec Spec) (*Result, error) {
-	st, err := j.submit(ctx, inst, spec, false)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	e := j.jobs[st.ID]
-	j.mu.Unlock()
-	if e == nil {
-		// Unreachable short of the job settling and outliving its TTL
-		// before this lookup: only expiry removes a job Do submitted.
-		return nil, ErrUnknownJob
-	}
-	defer func() {
-		j.mu.Lock()
-		delete(j.jobs, st.ID)
-		j.mu.Unlock()
-	}()
-	select {
-	case <-e.done:
-	case <-ctx.Done():
-		// The job context descends from ctx, so the solve is already
-		// aborting; wait for the worker to settle the entry (bounded by
-		// one checkpoint interval) and surface ctx's error — preserving
-		// DeadlineExceeded vs Canceled for the transport's status mapping.
-		<-e.done
-		return nil, ctx.Err()
-	}
-	j.mu.Lock()
-	res, jerr := e.res, e.err
-	j.mu.Unlock()
-	return res, jerr
-}
-
 // Stats returns a snapshot of the registry counters.
 func (j *Jobs) Stats() JobsStats {
 	j.mu.Lock()
@@ -394,7 +330,6 @@ func (j *Jobs) Stats() JobsStats {
 		Active:    len(j.jobs),
 		Done:      j.doneN,
 		Failed:    j.failed,
-		Rejected:  j.rejected,
 		Canceled:  j.canceled,
 		Expired:   j.expired,
 	}

@@ -46,10 +46,10 @@ func waitTerminal(tb testing.TB, j *Jobs, id string) JobStatus {
 }
 
 // TestJobLifecycle pins the happy path: submit → (progress becomes
-// visible) → done → result identical to the synchronous Do path for the
+// visible) → done → result identical to a synchronous Pool.Submit of the
 // same (instance, Spec).
 func TestJobLifecycle(t *testing.T) {
-	j, _, inst := newTestJobs(t, PoolConfig{Workers: 2}, JobsConfig{})
+	j, p, inst := newTestJobs(t, PoolConfig{Workers: 2}, JobsConfig{})
 	spec := Spec{Algo: AlgoMaxWeight, Seed: 3, NoCache: true}
 
 	st, err := j.Submit(inst, spec)
@@ -91,7 +91,7 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// Same request through the synchronous path: bit-identical.
-	sync, err := j.Do(context.Background(), inst, spec)
+	sync, err := p.Submit(context.Background(), inst, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,10 @@ func TestJobLifecycle(t *testing.T) {
 	if _, err := j.Result(st.ID); err != nil {
 		t.Fatalf("second result fetch failed: %v", err)
 	}
-	if s := j.Stats(); s.Done < 2 || s.Submitted < 2 {
-		t.Fatalf("stats did not count the jobs: %+v", s)
+	// The registry counts the async job only; the synchronous solve
+	// never entered it.
+	if s := j.Stats(); s.Done != 1 || s.Submitted != 1 || s.Active != 1 {
+		t.Fatalf("stats = %+v, want the one async job submitted, done and resident", s)
 	}
 }
 
@@ -208,38 +210,6 @@ func TestJobMaxJobs(t *testing.T) {
 	}
 	if final := waitTerminal(t, j, st2.ID); final.State != JobDone {
 		t.Fatalf("replacement job ended %s (%s)", final.State, final.Error)
-	}
-}
-
-// TestJobDoCancellation: Do must honor the caller's context the way
-// pool.Submit used to — the solve aborts and ctx's error comes back — and
-// the ephemeral job must not leak a registry slot.
-func TestJobDoCancellation(t *testing.T) {
-	j, p, inst := newTestJobs(t, PoolConfig{Workers: 1}, JobsConfig{})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := j.Do(ctx, inst, Spec{Algo: AlgoMaxWeight, Seed: 1, NoCache: true})
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Do returned %v, want context.Canceled", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := p.Stats(); st.SolveCanceled+st.Canceled >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cancellation never reached the pool: %+v", p.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if s := j.Stats(); s.Active != 0 {
-		t.Fatalf("ephemeral Do job leaked: %+v", s)
 	}
 }
 

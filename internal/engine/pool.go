@@ -46,10 +46,11 @@ type PoolConfig struct {
 	// the HTTP workers= param and bmatch.Request.Workers reach the
 	// drivers.
 	SolverWorkers int
-	// MPCTransport is the MPC delivery backend given to solves whose Spec
-	// leaves MPCTransport nil (that is how the daemon's -mpc-workers flag
-	// reaches every solve). Backends are bit-identical by contract, so the
-	// default changes where supersteps run, never what they produce.
+	// MPCTransport is the MPC delivery backend of every solve the pool
+	// runs (the daemon's -mpc-workers flag); nil is the in-process
+	// pipeline. Backends are bit-identical by contract, so it changes
+	// where supersteps run, never what they produce, and neither the
+	// result cache nor request coalescing looks at it.
 	MPCTransport mpc.TransportFactory
 	// DecodeSlots bounds concurrent request decodes (default 2 × Workers).
 	DecodeSlots int
@@ -181,16 +182,21 @@ func NewPool(cfg PoolConfig) *Pool {
 		decodeSem: make(chan struct{}, cfg.DecodeSlots),
 		closing:   make(chan struct{}),
 	}
-	p.decodeSessions.New = func() any {
-		s := NewSession(p.cache)
-		s.Limits = cfg.limits()
-		return s
-	}
+	p.decodeSessions.New = func() any { return p.newSession() }
 	for i := 0; i < cfg.Workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
 	}
 	return p
+}
+
+// newSession returns a session over the pool's cache with the pool's
+// decode limits and MPC transport.
+func (p *Pool) newSession() *Session {
+	s := NewSession(p.cache)
+	s.limits = p.cfg.limits()
+	s.transport = p.cfg.MPCTransport
+	return s
 }
 
 // Cache returns the pool's shared cache.
@@ -245,9 +251,6 @@ func (p *Pool) submit(ctx context.Context, inst *Instance, spec Spec, wait bool)
 		// The configured default, not an override: explicit Spec.Workers
 		// (the HTTP workers= param, bmatch.Request.Workers) wins.
 		spec.Workers = p.cfg.SolverWorkers
-	}
-	if spec.MPCTransport == nil {
-		spec.MPCTransport = p.cfg.MPCTransport
 	}
 	j := &job{ctx: ctx, inst: inst, spec: spec, done: make(chan jobDone, 1)}
 	p.mu.Lock()
@@ -310,8 +313,7 @@ func (p *Pool) Close() {
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	s := NewSession(p.cache)
-	s.Limits = p.cfg.limits()
+	s := p.newSession()
 	batch := make([]*job, 0, p.cfg.BatchMax)
 	var carry *job
 	for {

@@ -233,16 +233,21 @@ func TestFracF32BitIdenticalAcrossWorkersAndTransports(t *testing.T) {
 		t.Cleanup(func() { w.Close() })
 		addrs[i] = w.Addr().String()
 	}
+	p := NewPool(PoolConfig{Workers: 1, MPCTransport: mpctransport.NewDialer(addrs...)})
+	defer p.Close()
+	inst, err := NewSession(p.Cache()).InstanceFromGraph(g, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := base
 	spec.Workers = 2
-	spec.MPCTransport = mpctransport.NewDialer(addrs...)
-	got, err := Solve(ctx, g, b, spec)
+	got, err := p.Submit(ctx, inst, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for e := range want.Frac.X {
-		if math.Float64bits(got.Frac.X[e]) != math.Float64bits(want.Frac.X[e]) {
-			t.Fatalf("tcp: f32 x[%d] = %v differs from in-process %v", e, got.Frac.X[e], want.Frac.X[e])
+		if math.Float64bits(got.X[e]) != math.Float64bits(want.Frac.X[e]) {
+			t.Fatalf("tcp: f32 x[%d] = %v differs from in-process %v", e, got.X[e], want.Frac.X[e])
 		}
 	}
 }

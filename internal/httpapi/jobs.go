@@ -2,7 +2,7 @@
 // transport-free job registry. A solve that outlives a request/response
 // round-trip is submitted once, polled cheaply (status reads are a mutex
 // grab and an atomic load — no solver contact), fetched when done, and
-// cancelled or deleted when the client loses interest; finished jobs stay
+// cancelled when the client loses interest; finished jobs stay
 // retrievable for the configured TTL.
 package httpapi
 
@@ -68,21 +68,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Decoding is synchronous — the body arrives on this request — so it
 	// stays under the request context and the same admission policy as v1.
-	inst, err := s.pool.DecodeFrom(r.Context(), r.Body, s.cfg.MaxBodyBytes)
-	switch {
-	case errors.Is(err, engine.ErrDecodeBusy):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, engine.ErrBodyTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("httpapi: request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.writeCancelError(w, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	inst := s.decodeBody(r.Context(), w, r.Body)
+	if inst == nil {
 		return
 	}
 	st, err := s.jobs.Submit(inst, spec)

@@ -281,6 +281,23 @@ func TestV2MaxJobs(t *testing.T) {
 	deleteJob(t, ts.Client(), ts.URL, st.ID)
 }
 
+// TestRetainedJobsDoNotBlockSyncSolves: MaxJobs bounds /v2 jobs only. A
+// finished job retained for its TTL fills a one-job registry, and a
+// synchronous /v1/solve must still be served.
+func TestRetainedJobsDoNotBlockSyncSolves(t *testing.T) {
+	_, _, payload := testInstancePayload(t)
+	_, ts := newTestServer(t, engine.PoolConfig{Workers: 1}, Config{MaxJobs: 1})
+
+	st, code := postJob(t, ts.Client(), ts.URL, payload, "algo=greedy&seed=1")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitJobState(t, ts.Client(), ts.URL, st.ID, "done")
+	if _, code := postSolve(t, ts.Client(), ts.URL, payload, "algo=greedy&seed=2"); code != http.StatusOK {
+		t.Fatalf("sync solve beside a retained job: HTTP %d, want 200", code)
+	}
+}
+
 // TestWorkersParam: the workers= knob reaches the solver and must not
 // change a single bit of the result.
 func TestWorkersParam(t *testing.T) {
@@ -373,8 +390,8 @@ func TestFracOverHTTP(t *testing.T) {
 	}
 }
 
-// TestStatsIncludesJobs: /v1/stats reports the registry counters (and the
-// sync path's ephemeral jobs do not leak into Active).
+// TestStatsIncludesJobs: /v1/stats reports the registry counters, which
+// count the async job only — a /v1/solve is not a job.
 func TestStatsIncludesJobs(t *testing.T) {
 	_, _, payload := testInstancePayload(t)
 	_, ts := newTestServer(t, engine.PoolConfig{}, Config{})
@@ -395,10 +412,10 @@ func TestStatsIncludesJobs(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Jobs.Submitted < 2 || body.Jobs.Done < 2 {
-		t.Fatalf("jobs stats missing: %+v", body.Jobs)
+	if body.Jobs.Submitted != 1 || body.Jobs.Done != 1 || body.Jobs.Active != 1 {
+		t.Fatalf("jobs stats = %+v, want the one async job submitted, done and resident", body.Jobs)
 	}
-	if body.Jobs.Active != 1 {
-		t.Fatalf("active jobs = %d, want 1 (the async one; Do must clean up)", body.Jobs.Active)
+	if body.Pool.Completed != 2 {
+		t.Fatalf("pool completed = %d, want 2 (the sync solve and the job)", body.Pool.Completed)
 	}
 }

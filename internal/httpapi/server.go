@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -34,15 +35,12 @@ type Config struct {
 	MaxWorkers int
 	// MaxJobs bounds resident v2 jobs — queued, running, and finished
 	// ones inside their retention TTL (default 1024; see
-	// engine.JobsConfig).
+	// engine.JobsConfig). /v1/solve requests are not jobs and do not
+	// count.
 	MaxJobs int
 	// JobTTL is how long a finished v2 job's status and result stay
 	// retrievable (default 15 minutes).
 	JobTTL time.Duration
-	// DefaultValueMode is the value mode applied when a request carries no
-	// values= parameter ("" keeps f64). A request's explicit values= always
-	// wins; bmatchd sets this from its -values flag.
-	DefaultValueMode string
 }
 
 func (c Config) withDefaults() Config {
@@ -72,8 +70,8 @@ func (c Config) withDefaults() Config {
 //
 // It owns no solver state of its own: sessions, caches, and admission
 // control live in the engine.Pool it wraps, and the async lifecycle in the
-// engine.Jobs registry — /v1/solve is a submit+wait over the same
-// registry, so the sync and async paths return bit-identical results.
+// engine.Jobs registry. /v1/solve submits straight to the pool, and a v2
+// job is the same pool submission, so both return bit-identical results.
 type Server struct {
 	cfg      Config
 	pool     *engine.Pool
@@ -150,6 +148,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
 }
 
+// decodeBody decodes the request body into a cached instance under the
+// pool's decode admission. On failure it writes the error reply and
+// returns nil.
+func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, body io.Reader) *engine.Instance {
+	inst, err := s.pool.DecodeFrom(ctx, body, s.cfg.MaxBodyBytes)
+	switch {
+	case errors.Is(err, engine.ErrDecodeBusy):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, engine.ErrBodyTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("httpapi: request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// The deadline or the client expired while the body was still
+		// arriving; same replies as a cancelled solve.
+		s.writeCancelError(w, err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return inst
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	spec, timeout, err := s.specFromQuery(r)
 	if err != nil {
@@ -171,30 +191,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	inst, err := s.pool.DecodeFrom(ctx, r.Body, s.cfg.MaxBodyBytes)
-	switch {
-	case errors.Is(err, engine.ErrDecodeBusy):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, engine.ErrBodyTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("httpapi: request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// The deadline or the client expired while the body was still
-		// arriving; same replies as the post-solve cases below.
-		s.writeCancelError(w, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	inst := s.decodeBody(ctx, w, r.Body)
+	if inst == nil {
 		return
 	}
-	// Submit+wait over the job registry: the same lifecycle as a v2 job,
-	// so the sync path cannot drift from the async one.
-	res, err := s.jobs.Do(ctx, inst, spec)
+	res, err := s.pool.Submit(ctx, inst, spec)
 	switch {
-	case errors.Is(err, engine.ErrQueueFull), errors.Is(err, engine.ErrTooManyJobs):
+	case errors.Is(err, engine.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
 		return
@@ -254,12 +257,8 @@ func (s *Server) specFromQuery(r *http.Request) (engine.Spec, time.Duration, err
 		spec.PaperConstants = v
 	}
 	// Value mode rides through as a string; Spec.Validate rejects unknown
-	// spellings and f32 with a non-frac algo, exactly like the facade. An
-	// absent parameter falls back to the daemon's configured default.
-	spec.ValueMode = s.cfg.DefaultValueMode
-	if _, ok := q["values"]; ok {
-		spec.ValueMode = q.Get("values")
-	}
+	// spellings and f32 with a non-frac algo, exactly like the facade.
+	spec.ValueMode = q.Get("values")
 	if nc := q.Get("nocache"); nc != "" {
 		v, err := strconv.ParseBool(nc)
 		if err != nil {

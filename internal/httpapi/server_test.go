@@ -360,9 +360,8 @@ func TestHostileCountsRejected(t *testing.T) {
 }
 
 // TestValueModeParam covers the values= query parameter end to end: f32 is
-// accepted for frac (and cached separately from the default), unknown
-// spellings and f32-with-integral-algos are 400s, and a daemon-level
-// DefaultValueMode applies only when the request carries no values=.
+// accepted for frac (and cached separately from the default), and unknown
+// spellings and f32-with-integral-algos are 400s.
 func TestValueModeParam(t *testing.T) {
 	_, _, payload := testInstancePayload(t)
 	_, ts := newTestServer(t, engine.PoolConfig{Workers: 2}, Config{})
@@ -390,18 +389,5 @@ func TestValueModeParam(t *testing.T) {
 	out, code = postSolve(t, ts.Client(), ts.URL, payload, "algo=frac&seed=2")
 	if code != http.StatusOK || !out.Cached {
 		t.Fatalf("f64 repeat: status %d cached=%v", code, out.Cached)
-	}
-
-	// A daemon default of f32 makes integral algos unusable only when the
-	// request doesn't override it — exactly the -values flag semantics.
-	_, tsDef := newTestServer(t, engine.PoolConfig{Workers: 2}, Config{DefaultValueMode: "f32"})
-	if _, code := postSolve(t, tsDef.Client(), tsDef.URL, payload, "algo=frac&seed=1"); code != http.StatusOK {
-		t.Fatalf("default f32 frac: status %d", code)
-	}
-	if _, code := postSolve(t, tsDef.Client(), tsDef.URL, payload, "algo=maxw&seed=1"); code != http.StatusBadRequest {
-		t.Fatalf("default f32 maxw: status %d, want 400", code)
-	}
-	if _, code := postSolve(t, tsDef.Client(), tsDef.URL, payload, "algo=maxw&seed=1&values=f64"); code != http.StatusOK {
-		t.Fatalf("default f32 maxw with explicit f64: status %d", code)
 	}
 }

@@ -3,11 +3,13 @@ package mpctransport
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/frac"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/rng"
 )
 
@@ -53,9 +55,21 @@ func TestFullMPCBitIdenticalAcrossBackends(t *testing.T) {
 	}
 }
 
+// countingFactory counts the transports a factory hands out.
+type countingFactory struct {
+	mpc.TransportFactory
+	n atomic.Int64
+}
+
+func (f *countingFactory) NewTransport(n, workers int) (mpc.Transport, error) {
+	f.n.Add(1)
+	return f.TransportFactory.NewTransport(n, workers)
+}
+
 // TestEngineSolveBitIdenticalAcrossBackends runs the full engine path
-// (Spec.MPCTransport, the daemon's configuration surface) for both MPC
-// algorithms and compares plans against the in-process backend.
+// (PoolConfig.MPCTransport, the daemon's configuration surface) for both
+// MPC algorithms and compares every result field against a pool that
+// delivers in-process.
 func TestEngineSolveBitIdenticalAcrossBackends(t *testing.T) {
 	r := rng.New(3)
 	g := graph.Gnm(150, 2000, r.Split())
@@ -63,48 +77,32 @@ func TestEngineSolveBitIdenticalAcrossBackends(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
 	ctx := context.Background()
 
+	solve := func(cfg engine.PoolConfig, spec engine.Spec) *engine.Result {
+		t.Helper()
+		p := engine.NewPool(cfg)
+		defer p.Close()
+		inst, err := engine.NewSession(p.Cache()).InstanceFromGraph(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Submit(ctx, inst, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		return res
+	}
 	for _, algo := range []engine.Algo{engine.AlgoFrac, engine.AlgoApprox} {
 		spec := engine.Spec{Algo: algo, Seed: 42, Workers: 2}
-		want, err := engine.Solve(ctx, g, b, spec)
-		if err != nil {
-			t.Fatal(err)
+		want := solve(engine.PoolConfig{Workers: 1}, spec)
+		tcp := &countingFactory{TransportFactory: NewDialer(addrs...)}
+		got := solve(engine.PoolConfig{Workers: 1, MPCTransport: tcp}, spec)
+		if tcp.n.Load() == 0 {
+			t.Errorf("%s: the pool never used its MPC transport", algo)
 		}
-		spec.MPCTransport = NewDialer(addrs...)
-		got, err := engine.Solve(ctx, g, b, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch algo {
-		case engine.AlgoFrac:
-			if !reflect.DeepEqual(got.Frac, want.Frac) {
-				t.Errorf("%s: fractional solution diverged across backends", algo)
-			}
-		case engine.AlgoApprox:
-			if !reflect.DeepEqual(got.M, want.M) {
-				t.Errorf("%s: matching diverged across backends", algo)
-			}
-			if got.DualBound != want.DualBound || got.FracValue != want.FracValue ||
-				got.MPCRounds != want.MPCRounds || got.CompressionSteps != want.CompressionSteps ||
-				got.MaxMachineEdges != want.MaxMachineEdges {
-				t.Errorf("%s: observables diverged: got %+v, want %+v", algo, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result diverged across backends: got %+v, want %+v", algo, got, want)
 		}
 	}
 	waitReleased(t, workers)
-}
-
-// TestDialerIsComparableInSpec pins the engine.Spec contract: Specs
-// carrying the same *Dialer must compare equal (the pool coalesces
-// identical queued requests by ==), and differing dialers must not.
-func TestDialerIsComparableInSpec(t *testing.T) {
-	d1, d2 := NewDialer("a:1"), NewDialer("a:1")
-	s1 := engine.Spec{Algo: engine.AlgoFrac, MPCTransport: d1}
-	s2 := engine.Spec{Algo: engine.AlgoFrac, MPCTransport: d1}
-	s3 := engine.Spec{Algo: engine.AlgoFrac, MPCTransport: d2}
-	if s1 != s2 {
-		t.Fatal("identical specs compare unequal")
-	}
-	if s1 == s3 {
-		t.Fatal("distinct dialers compare equal")
-	}
 }

@@ -24,9 +24,7 @@ const DefaultDialTimeout = 5 * time.Second
 // the sockets ends exactly one simulation — and let concurrent solves
 // share the same worker processes without coordination.
 //
-// Dialer is used via pointer, so it is comparable as engine.Spec
-// requires; the same *Dialer can serve any number of simulations
-// concurrently.
+// The same *Dialer can serve any number of simulations concurrently.
 type Dialer struct {
 	// Addrs are the worker addresses ("host:port"). A simulation with
 	// fewer machines than addresses uses a prefix of them.

@@ -47,9 +47,7 @@ type Transport interface {
 // one simulator per phase with a phase-dependent machine count, so backend
 // selection travels as a factory (e.g. frac.MPCParams.Transport): the
 // factory holds the long-lived configuration (worker addresses, limits)
-// and NewTransport binds it to one cluster size. Implementations used in
-// engine.Spec must be comparable (use pointer receivers) — the pool
-// coalesces identical specs by equality.
+// and NewTransport binds it to one cluster size.
 type TransportFactory interface {
 	NewTransport(n, workers int) (Transport, error)
 }

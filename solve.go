@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mpc"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
@@ -76,18 +75,6 @@ type Request struct {
 	// transports but are cached separately from f64 results. Rejected for
 	// every algorithm other than AlgoFrac.
 	ValueMode string
-	// MPCTransport selects the MPC simulator's delivery backend for the
-	// fractional compression supersteps (the simulator core of AlgoApprox
-	// and AlgoFrac, and of AlgoMax's Θ(1) start). Nil is the in-process
-	// pipeline; a non-nil factory (e.g. mpctransport.NewDialer over
-	// `bmatchd -mpc-worker` processes) ships those supersteps' messages to
-	// external worker processes. The augmentation phases of AlgoMax and
-	// AlgoMaxWeight run on no simulator at all: their MPC round counts are
-	// EstMPCRounds estimates. Backends are
-	// bit-identical by contract — like Workers, this changes where the
-	// solve runs, never its result. Implementations must be comparable
-	// (use a pointer type).
-	MPCTransport mpc.TransportFactory
 	// Progress, when non-nil, is invoked with a sample at solver
 	// checkpoints (round, superstep, sweep, and stream-pass boundaries).
 	// It runs synchronously on solver goroutines, so it must be fast;
@@ -122,7 +109,6 @@ func (r Request) spec() (engine.Spec, error) {
 		PaperConstants: r.PaperConstants,
 		NoCache:        r.NoCache,
 		ValueMode:      r.ValueMode,
-		MPCTransport:   r.MPCTransport,
 	}
 	if err := spec.Validate(); err != nil {
 		return spec, fmt.Errorf("bmatch: %w", err)
