@@ -33,7 +33,7 @@ const greedyCancelStride = 1 << 16
 // b-matching. ctx is checked before the weight sort and every
 // greedyCancelStride edges of the scan (the checks never affect the
 // output, only whether it is produced).
-// The O(m log m) sort itself is not interruptible, so that — not one scan
+// The O(m) radix sort itself is not interruptible, so that — not one scan
 // stride — bounds the worst-case abort latency. A cancelled call returns
 // ctx's error with no partial matching.
 func GreedyWeightedCtx(ctx context.Context, g *graph.Graph, b graph.Budgets) (*matching.BMatching, error) {

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -163,12 +166,52 @@ func TestSubgraphMapping(t *testing.T) {
 	}
 }
 
+// TestSortEdgesByWeightDesc pins the whole order, not just its monotonicity:
+// descending weight, ties by ascending id, and -0.0 tied with +0.0, as a
+// stable comparison sort on < orders them.
 func TestSortEdgesByWeightDesc(t *testing.T) {
-	g := GnmWeighted(30, 100, 0, 10, rng.New(7))
-	ids := SortEdgesByWeightDesc(g)
-	for i := 1; i < len(ids); i++ {
-		if g.Edges[ids[i-1]].W < g.Edges[ids[i]].W {
-			t.Fatal("not sorted descending")
+	withWeights := func(ws ...float64) *Graph {
+		edges := make([]Edge, len(ws))
+		for i, w := range ws {
+			edges[i] = Edge{U: int32(i % 7), V: int32(i%7 + 1), W: w}
+		}
+		return MustNew(8, edges)
+	}
+	heavyTies := Gnm(200, 2000, rng.New(8))
+	r := rng.New(9)
+	for i := range heavyTies.Edges {
+		heavyTies.Edges[i].W = float64(r.Intn(5))
+	}
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	market, _ := AssignmentMarket(300, 40, 6, rng.New(3))
+	social, _ := PowerLawSocial(500, 4000, 2.3, rng.New(5))
+	skew, _ := AdversarialSkew(600, 5000, rng.New(9))
+	cases := []struct {
+		name string
+		g    *Graph
+	}{
+		{"gnm-weighted", GnmWeighted(30, 100, 0, 10, rng.New(7))},
+		{"integer-ties", heavyTies},
+		{"all-equal", Gnm(100, 500, rng.New(10))},
+		{"signed-zeros", withWeights(0, negZero, 1, negZero, 0, 0, negZero, 2, negZero, 0)},
+		{"extremes", withWeights(sub, math.MaxFloat64, 0, 2*sub, 0x1p-1022, sub, 1, math.MaxFloat64, 0x1p-1030, negZero)},
+		{"m=0", MustNew(3, nil)},
+		{"m=1", withWeights(3.5)},
+		{"assignment-market", market},
+		{"power-law-social", social},
+		{"adversarial-skew", skew},
+	}
+	for _, tc := range cases {
+		want := make([]int32, tc.g.M())
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			return cmp.Compare(tc.g.Edges[b].W, tc.g.Edges[a].W)
+		})
+		if got := SortEdgesByWeightDesc(tc.g); !slices.Equal(got, want) {
+			t.Errorf("%s: order differs from the stable descending-weight sort", tc.name)
 		}
 	}
 }
