@@ -2,8 +2,8 @@
 // machine-readable JSON trajectory point (name, ns/op, B/op, allocs/op per
 // benchmark), so performance is tracked as committed data instead of
 // anecdotes. It can also enforce pinned budgets: with -budgets, any
-// benchmark over its allocs/op pin, over its tolerance-scaled ns/op pin,
-// or over a pinned ratio to a sibling benchmark fails the run — CI uses
+// benchmark over its allocs/op pin, over its ns/op pin, or over a pinned
+// ratio to a sibling benchmark fails the run — CI uses
 // this to make perf regressions in the solver hot loops a red build.
 //
 // Usage:
@@ -16,18 +16,17 @@
 // A budget file pins allocs/op, ns/op and sibling ratios:
 //
 //	{
-//	  "nsToleranceFactor": 2.5,
 //	  "entries": [
 //	    {"pattern": "^BenchmarkSequential/", "maxAllocs": 60, "maxNs": 4.1e6},
 //	    {"pattern": ".../workers=4$", "maxRatioTo": ".../workers=1", "maxRatio": 1.3}
 //	  ]
 //	}
 //
-// maxNs pins are multiplied by nsToleranceFactor before comparison —
-// absolute times move with the host, so the factor absorbs machine
-// variance while still catching order-of-magnitude regressions. Ratio
-// pins (a benchmark against a sibling measured in the same run) are
-// machine-independent and get no slack beyond their own maxRatio.
+// A maxNs pin is an ns/op ceiling. Absolute times move with the host, so
+// each is set well above the measured ns/op: it catches
+// order-of-magnitude regressions, not noise. Ratio pins (a benchmark
+// against a sibling measured in the same run) are machine-independent and
+// get no slack beyond their own maxRatio.
 //
 // -compare diffs the run against an earlier trajectory point on stderr
 // after the budgets are checked. It is informational only and never fails
@@ -196,7 +195,7 @@ type BudgetEntry struct {
 	// MaxAllocs is an absolute allocs/op ceiling (allocs are exact, no
 	// tolerance applies).
 	MaxAllocs int64 `json:"maxAllocs,omitempty"`
-	// MaxNs is a ns/op ceiling, scaled by the file's nsToleranceFactor.
+	// MaxNs is a ns/op ceiling.
 	MaxNs float64 `json:"maxNs,omitempty"`
 	// MaxRatioTo/MaxRatio pin this entry's benchmarks to at most MaxRatio
 	// times the ns/op of the benchmark whose (suffix-stripped) name equals
@@ -211,8 +210,7 @@ type BudgetEntry struct {
 
 // BudgetFile is the budget format; see the package comment.
 type BudgetFile struct {
-	NsToleranceFactor float64       `json:"nsToleranceFactor"`
-	Entries           []BudgetEntry `json:"entries"`
+	Entries []BudgetEntry `json:"entries"`
 }
 
 // loadBudgets reads a budget file.
@@ -227,9 +225,6 @@ func loadBudgets(path string) *BudgetFile {
 	}
 	if len(bf.Entries) == 0 {
 		fatalf("budgets %s: no entries", path)
-	}
-	if bf.NsToleranceFactor <= 0 {
-		bf.NsToleranceFactor = 1
 	}
 	return &bf
 }
@@ -272,12 +267,9 @@ func checkBudgets(path string, results []Result, short bool) []string {
 				violations = append(violations,
 					fmt.Sprintf("%s: %d allocs/op > budget %d (pattern %q)", r.Name, r.AllocsPerOp, ent.MaxAllocs, ent.Pattern))
 			}
-			if ent.MaxNs > 0 {
-				if limit := ent.MaxNs * bf.NsToleranceFactor; r.NsPerOp > limit {
-					violations = append(violations,
-						fmt.Sprintf("%s: %.0f ns/op > budget %.0f × tolerance %.2g = %.0f (pattern %q)",
-							r.Name, r.NsPerOp, ent.MaxNs, bf.NsToleranceFactor, limit, ent.Pattern))
-				}
+			if ent.MaxNs > 0 && r.NsPerOp > ent.MaxNs {
+				violations = append(violations,
+					fmt.Sprintf("%s: %.0f ns/op > budget %.0f (pattern %q)", r.Name, r.NsPerOp, ent.MaxNs, ent.Pattern))
 			}
 			if ref != nil && ent.MaxRatio > 0 && ref.NsPerOp > 0 {
 				if ratio := r.NsPerOp / ref.NsPerOp; ratio > ent.MaxRatio {

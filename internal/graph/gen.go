@@ -38,13 +38,26 @@ func Gnm(n, m int, r *rng.RNG) *Graph {
 	return MustNew(n, edges)
 }
 
-// GnmWeighted is Gnm with i.i.d. uniform weights in [lo,hi).
+// GnmWeighted is Gnm with i.i.d. uniform weights in [lo,hi). It panics
+// unless both bounds are finite and ≥ 0 (see checkWeightRange).
 func GnmWeighted(n, m int, lo, hi float64, r *rng.RNG) *Graph {
+	checkWeightRange("GnmWeighted", lo, hi)
 	g := Gnm(n, m, r)
 	for i := range g.Edges {
 		g.Edges[i].W = r.Uniform(lo, hi)
 	}
 	return g
+}
+
+// checkWeightRange panics unless every weight drawn from [lo,hi) passes
+// CheckEdge: the weighted generators write their weights after New, so
+// nothing else checks them.
+func checkWeightRange(name string, lo, hi float64) {
+	for _, w := range [...]float64{lo, hi} {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			panic(fmt.Sprintf("graph: %s: weight range [%v, %v) needs finite bounds ≥ 0", name, lo, hi))
+		}
+	}
 }
 
 // ChungLu returns a power-law-ish random graph: vertex v gets target weight
@@ -147,7 +160,9 @@ func Bipartite(nl, nr, m int, r *rng.RNG) *Graph {
 }
 
 // BipartiteWeighted is Bipartite with i.i.d. uniform weights in [lo,hi).
+// It panics unless both bounds are finite and ≥ 0 (see checkWeightRange).
 func BipartiteWeighted(nl, nr, m int, lo, hi float64, r *rng.RNG) *Graph {
+	checkWeightRange("BipartiteWeighted", lo, hi)
 	g := Bipartite(nl, nr, m, r)
 	for i := range g.Edges {
 		g.Edges[i].W = r.Uniform(lo, hi)

@@ -259,6 +259,32 @@ func TestBipartiteWeightedRange(t *testing.T) {
 	}
 }
 
+// TestWeightedGeneratorsRejectBadRange: a range that can draw a weight
+// CheckEdge rejects (negative, NaN or infinite) panics before any draw,
+// since the weighted generators write weights after New checked the edges.
+func TestWeightedGeneratorsRejectBadRange(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(lo, hi float64)
+	}{
+		{"GnmWeighted", func(lo, hi float64) { GnmWeighted(20, 40, lo, hi, rng.New(1)) }},
+		{"BipartiteWeighted", func(lo, hi float64) { BipartiteWeighted(5, 5, 10, lo, hi, rng.New(1)) }},
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, rg := range [][2]float64{{-1, 1}, {1, -1}, {nan, 1}, {0, nan}, {0, inf}, {-inf, 1}} {
+		for _, g := range gens {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with weights in [%v, %v) did not panic", g.name, rg[0], rg[1])
+					}
+				}()
+				g.gen(rg[0], rg[1])
+			}()
+		}
+	}
+}
+
 // TestBuildAdjParallelMatchesSerial pins that the sharded parallel CSR
 // construction produces a bit-identical layout to the serial one, for
 // several worker counts, on a graph above the parallel threshold.

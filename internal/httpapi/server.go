@@ -398,10 +398,8 @@ func appendJSONString(buf []byte, s string) []byte {
 
 // handleHealthz reports liveness plus the lifecycle phase: "ok" while
 // serving, "draining" (with a 503 and Retry-After) once shutdown began.
-// The distinction lets load generators and orchestrators stop offering
-// load to a terminating replica instead of booking its connection
-// refusals and 5xxs as SLO violations — cmd/loadgen's readiness wait and
-// drain detection key on the status field.
+// The distinction lets load balancers and orchestrators stop sending
+// requests to a terminating replica before its connections are refused.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	status, code := "ok", http.StatusOK

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -254,6 +255,58 @@ func TestTimeoutMs(t *testing.T) {
 	st := srv.pool.Stats()
 	if st.SolveCanceled+st.Canceled < 1 {
 		t.Fatalf("timeout was not counted as a cancellation: %+v", st)
+	}
+}
+
+// waitPool polls the pool's counters until cond holds and fails with msg
+// after 10 s.
+func waitPool(t *testing.T, srv *Server, msg string, cond func(engine.PoolStats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := srv.pool.Stats()
+		if cond(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %+v", msg, st)
+		}
+	}
+}
+
+// TestClientCancelFreesWorker: a /v1/solve client that goes away
+// mid-solve aborts the solve, and the pool's one worker is free for the
+// next request.
+func TestClientCancelFreesWorker(t *testing.T) {
+	_, _, payload := testInstancePayload(t)
+	srv, ts := newTestServer(t, engine.PoolConfig{Workers: 1}, Config{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		ts.URL+"/v1/solve?algo=maxw&eps=0.05&seed=1&nocache=true", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan int, 1) // the reply's status, 0 when the request failed
+	go func() {
+		code := 0
+		if resp, err := ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+			code = resp.StatusCode
+		}
+		answered <- code
+	}()
+	// Go away only once the solve is in the pool, so that the pool and not
+	// the decode sees it.
+	waitPool(t, srv, "the solve never reached the pool", func(st engine.PoolStats) bool { return st.Submitted == 1 })
+	cancel()
+	if code := <-answered; code != 0 {
+		t.Fatalf("the solve answered %d before its client went away", code)
+	}
+	// The server sees the client go away asynchronously.
+	waitPool(t, srv, "the abandoned solve was not cancelled", func(st engine.PoolStats) bool { return st.Canceled+st.SolveCanceled == 1 })
+	if out, code := postSolve(t, ts.Client(), ts.URL, payload, "algo=greedy&seed=1"); code != http.StatusOK || !out.Feasible {
+		t.Fatalf("follow-up request after the client cancel: status %d, %+v", code, out)
 	}
 }
 

@@ -11,35 +11,25 @@ import (
 // FamilySpec asks the corpus builder for Count instances of one family at
 // one size. Supported families are the ROADMAP instance set: "assignment"
 // (bipartite assignment markets), "powerlaw" (Chung-Lu social graphs),
-// "skew" (adversarial degree skew), plus "gnm" and "clientserver" from the
-// generic generators.
+// "skew" (adversarial degree skew), plus "gnm" from the generic
+// generators.
 type FamilySpec struct {
 	Family string `json:"family"`
 	Count  int    `json:"count"`
-	// N and M size each instance (M is ignored by families that derive
-	// their own edge count, e.g. clientserver).
+	// N and M size each instance (M ≤ 0 asks for 8N edges).
 	N int `json:"n"`
 	M int `json:"m"`
 }
 
-// CorpusItem is one encoded instance: the BMG1 payload the target posts,
+// CorpusItem is one encoded instance: the BMG1 payload a replay posts,
 // plus identifying metadata for reports.
 type CorpusItem struct {
 	// Name is "<family>/<i>" — stable across runs.
 	Name string
 	// Payload is the canonical BMG1 encoding (binary ingest is ~6× faster
-	// than text, so the harness always posts binary).
+	// than text, so replays post binary).
 	Payload []byte
 	N, M    int
-}
-
-// corpusCount sums the instance counts of a corpus declaration.
-func corpusCount(fams []FamilySpec) int {
-	n := 0
-	for _, f := range fams {
-		n += f.Count
-	}
-	return n
 }
 
 // BuildCorpus generates the instance corpus for a workload: every family
@@ -107,10 +97,7 @@ func generate(f FamilySpec, r *rng.RNG) (*graph.Graph, graph.Budgets, error) {
 	case "gnm":
 		g := graph.GnmWeighted(f.N, m, 1, 10, r)
 		return g, graph.UniformBudgets(f.N, 2), nil
-	case "clientserver":
-		g, b := graph.ClientServer(f.N, f.N/20+1, 6, 3, 40, r)
-		return g, b, nil
 	default:
-		return nil, nil, fmt.Errorf("loadgen: unknown corpus family %q (want assignment|powerlaw|skew|gnm|clientserver)", f.Family)
+		return nil, nil, fmt.Errorf("loadgen: unknown corpus family %q (want assignment|powerlaw|skew|gnm)", f.Family)
 	}
 }

@@ -1,19 +1,14 @@
-// Package loadgen is the transport-free core of the open-loop load
-// harness: deterministic workload construction (arrival schedule, Zipf
-// instance popularity, request mixes, cancel/timeout injection), a
-// concurrent open-loop driver over an abstract Target, an HDR-style
-// latency histogram, and an SLO evaluator. The HTTP client that replays a
-// workload against a live bmatchd lives in loadgen/httptarget; the CLI in
-// cmd/loadgen.
+// Package loadgen builds the inputs of an open-loop serving workload: the
+// instance corpus (BuildCorpus) and the request schedule (BuildSchedule:
+// Poisson arrivals, Zipf instance popularity, weighted request mixes,
+// cancel and timeout injection). It sends nothing. perfbench's serving
+// workloads and the replay of BENCH_LOADGEN.json in internal/httpapi's
+// tests post what it builds.
 //
-// The design splits *what to send* from *when it lands*: BuildSchedule
-// derives the complete request sequence — every arrival offset, corpus
-// pick, algo/eps/seed tuple, and injected fault — from the workload seed
-// before the run starts, so two runs of the same Spec offer byte-identical
-// load and differ only in observed latencies. The driver is open-loop
-// (arrivals never wait for completions), which is the only load shape that
-// measures queueing honestly: a closed loop's coordinated omission hides
-// exactly the latencies an SLO exists to catch.
+// Both builders are pure functions of their seed: BuildSchedule derives
+// every arrival offset, corpus pick, algo/seed pair and injected fault
+// before a run starts, so two runs of one Spec offer byte-identical load
+// and differ only in observed latencies.
 package loadgen
 
 import (
@@ -30,10 +25,6 @@ import (
 type MixEntry struct {
 	// Algo is the engine algorithm name (approx|max|maxw|greedy|frac).
 	Algo string `json:"algo"`
-	// Eps is the approximation slack (0 keeps the server default).
-	Eps float64 `json:"eps,omitempty"`
-	// Workers is the per-request solver parallelism (0 = server default).
-	Workers int `json:"workers,omitempty"`
 	// Async routes this cell through the /v2/jobs lifecycle
 	// (submit → poll → fetch) instead of the synchronous /v1/solve.
 	Async bool `json:"async,omitempty"`
@@ -53,20 +44,6 @@ type Spec struct {
 	// Poisson process of this intensity (exponential inter-arrival gaps),
 	// the standard open-loop model of independent users.
 	Rate float64 `json:"rate"`
-	// RateEnvelope shapes the arrival intensity over time while Rate stays
-	// the per-period mean: "" or "constant" is the homogeneous process,
-	// "sin" (or "sinusoidal") modulates λ(t) = Rate·(1+d·sin(2πt/P)), and
-	// "square" alternates Rate·(1±d) half-periods — diurnal-style swell
-	// and step-burst load in miniature. Envelopes reshape arrival times
-	// only: the mix, corpus, seed, and fault draws for shot i are
-	// identical to the constant schedule's.
-	RateEnvelope string `json:"rateEnvelope,omitempty"`
-	// EnvelopePeriod is the envelope period P (default 10s).
-	EnvelopePeriod time.Duration `json:"envelopePeriodNs,omitempty"`
-	// EnvelopeDepth is the relative modulation depth d ∈ (0,1); 0 defaults
-	// to 0.5. Depth 1 would let the instantaneous rate reach zero, so it
-	// is excluded.
-	EnvelopeDepth float64 `json:"envelopeDepth,omitempty"`
 	// CorpusSize is the number of instances in the corpus the schedule
 	// indexes into (Shot.Corpus ∈ [0, CorpusSize)).
 	CorpusSize int `json:"corpusSize"`
@@ -78,7 +55,7 @@ type Spec struct {
 	// SeedStreams is how many distinct request seeds the workload cycles
 	// through (drawn per request). Together with ZipfS it controls the
 	// result-cache hit rate: fewer streams × more skew → more exact
-	// (instance, algo, eps, seed) repeats. 0 defaults to 4.
+	// (instance, algo, seed) repeats. 0 defaults to 4.
 	SeedStreams int `json:"seedStreams"`
 	// Mix is the request mix. Empty defaults to 100% maxw.
 	Mix []MixEntry `json:"mix"`
@@ -114,15 +91,6 @@ func (s Spec) Validate() error {
 	if s.SeedStreams < 0 {
 		return fmt.Errorf("loadgen: SeedStreams = %d, need ≥ 0", s.SeedStreams)
 	}
-	if _, err := envelopeShape(s.RateEnvelope); err != nil {
-		return err
-	}
-	if s.EnvelopeDepth < 0 || s.EnvelopeDepth >= 1 || math.IsNaN(s.EnvelopeDepth) {
-		return fmt.Errorf("loadgen: EnvelopeDepth = %v outside [0,1)", s.EnvelopeDepth)
-	}
-	if s.EnvelopePeriod < 0 {
-		return fmt.Errorf("loadgen: EnvelopePeriod = %v, need ≥ 0", s.EnvelopePeriod)
-	}
 	for i, p := range []float64{s.CancelProb, s.TimeoutProb} {
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			which := [...]string{"CancelProb", "TimeoutProb"}[i]
@@ -145,20 +113,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Shot is one scheduled request: everything the driver and target need to
-// fire it, fixed before the run starts.
+// Shot is one scheduled request: everything a replay needs to fire it,
+// fixed before the run starts.
 type Shot struct {
-	// Index is the shot's position in the schedule.
-	Index int
 	// At is the arrival offset from the start of the run.
 	At time.Duration
 	// Corpus indexes the instance to post.
 	Corpus int
-	// Algo/Eps/Workers/Seed are the solve parameters.
-	Algo    string
-	Eps     float64
-	Workers int
-	Seed    int64
+	// Algo and Seed are the solve parameters.
+	Algo string
+	Seed int64
 	// Async routes the shot through the /v2/jobs lifecycle.
 	Async bool
 	// Cancel marks an injected client-side abandon after CancelAfter.
@@ -205,25 +169,14 @@ func BuildSchedule(spec Spec) ([]Shot, error) {
 	}
 	pop := newZipf(spec.CorpusSize, spec.ZipfS)
 
-	env := newEnvelope(spec)
-
 	r := rng.New(spec.Seed)
 	shots := make([]Shot, spec.Requests)
 	at := time.Duration(0)
-	unitMass := 0.0
 	for i := range shots {
-		// Poisson arrivals: a unit-rate exponential per shot. The constant
-		// path divides it by Rate directly (the arithmetic every committed
-		// schedule was built with); an envelope accumulates unit mass and
-		// time-warps it through Λ⁻¹, which reshapes arrival times without
-		// moving any later draw in the stream.
+		// Poisson arrivals: a unit-rate exponential gap per shot, divided
+		// by Rate.
 		e := -math.Log(1 - r.Float64())
-		if env == nil {
-			at += time.Duration(e / spec.Rate * float64(time.Second))
-		} else {
-			unitMass += e
-			at = time.Duration(env.invert(unitMass) * float64(time.Second))
-		}
+		at += time.Duration(e / spec.Rate * float64(time.Second))
 
 		mi := sort.SearchFloat64s(mixCum, r.Uniform(0, acc))
 		if mi == len(mix) {
@@ -231,14 +184,11 @@ func BuildSchedule(spec Spec) ([]Shot, error) {
 		}
 		cell := mix[mi]
 		s := Shot{
-			Index:   i,
-			At:      at,
-			Corpus:  pop.pick(r),
-			Algo:    cell.Algo,
-			Eps:     cell.Eps,
-			Workers: cell.Workers,
-			Seed:    int64(r.Intn(seedStreams)),
-			Async:   cell.Async,
+			At:     at,
+			Corpus: pop.pick(r),
+			Algo:   cell.Algo,
+			Seed:   int64(r.Intn(seedStreams)),
+			Async:  cell.Async,
 		}
 		// Fault injection: each shot draws both coins in a fixed order so
 		// the stream stays aligned whatever the outcomes. Cancels apply to
